@@ -15,6 +15,11 @@ Monte Carlo and the closed-form expectations:
   source imperfection and imperfect two-photon interference contrast.
 * A fraction ps_sample_fraction of detections is diverted to the inside-S
   test measurement instead of producing key bits.
+
+Detected pairs are sampled as round groups (state, compensation B, effective
+rotation, phase mask, count); only the group generator depends on the
+compensation scheme.  Every group is evaluated once through the exact
+pipeline and its test and key rounds are drawn binomially.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import RotatorSetting, Scheme, from_waveplates, haar_sample
+from .channel import CollectiveRotation, RotatorSetting, Scheme, from_waveplates, haar_sample
 from .protocol import (
     BasisChoice,
     LogicalState,
@@ -34,13 +39,11 @@ from .protocol import (
     bob_pipeline,
     coincident_split,
     conclusive_blocks,
-    measure,
     prepare,
 )
 
 __all__ = [
     "NoiseConfig",
-    "TallyCounts",
     "transmittance",
     "accidental_rate",
     "intrinsic_error_rate",
@@ -154,20 +157,41 @@ def _clip01(p: float) -> float:
     return min(max(float(p), 0.0), 1.0)
 
 
-def _key_round_stats(psi, state: LogicalState, flip_p: float):
-    """Per-basis (p_conclusive, p_error_if_sifted) for one evolved state."""
-    out = {}
-    for basis in BasisChoice:
-        p_conc, blocks = conclusive_blocks(psi, basis)
-        if p_conc > 0.0:
-            p_correct = sum(
-                w * (p0 if state.key_bit == 0 else 1.0 - p0) for _, w, p0 in blocks
-            ) / p_conc
-        else:
-            p_correct = 1.0
-        p_err = (1.0 - p_correct) * (1.0 - flip_p) + p_correct * flip_p
-        out[basis] = (_clip01(p_conc), _clip01(p_err))
-    return out
+def _key_error_probability(
+    blocks: list[tuple[str, float, float]], p_conc: float, key_bit: int, flip_p: float
+) -> float:
+    """P(wrong sifted bit) of a conclusive key round, intrinsic flips included."""
+    p_correct = sum(w * (p0 if key_bit == 0 else 1.0 - p0) for _, w, p0 in blocks) / p_conc
+    return _clip01((1.0 - p_correct) * (1.0 - flip_p) + p_correct * flip_p)
+
+
+def _round_groups(u: CollectiveRotation, scheme: Scheme, n_det: int, rng: np.random.Generator):
+    """Detected pairs as (state, b_choice, u_eff, mask, count) round groups.
+
+    'none' and 'flip_half' share their pairs multinomially over the 16 or
+    32 equally likely configurations; 'haar' yields one group per pair with
+    a fresh Haar compensation folded into the channel.
+    """
+    if scheme == "haar":
+        states, masks = list(LogicalState), list(PhaseMask)
+        for _ in range(n_det):
+            state = states[rng.integers(4)]
+            mask = masks[rng.integers(4)]
+            yield state, "identity", u @ haar_sample(rng), mask, 1
+        return
+    if scheme == "none":
+        b_choices = ("identity",)
+    elif scheme == "flip_half":
+        b_choices = ("identity", "flip")
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    configs = [
+        (state, b, mask) for state in LogicalState for b in b_choices for mask in PhaseMask
+    ]
+    counts = rng.multinomial(n_det, np.full(len(configs), 1.0 / len(configs)))
+    for (state, b, mask), count in zip(configs, counts):
+        if count:
+            yield state, b, u, mask, int(count)
 
 
 def simulate_session(
@@ -180,10 +204,11 @@ def simulate_session(
     """Monte Carlo session at one rotator setting.
 
     Emitted pairs are Poisson at the pair rate, thinned by the pair
-    transmittance and apparatus efficiency; surviving pairs are pushed
-    through the exact protocol pipeline and sampled at their Born
-    probabilities.  Accidental coincidences are injected at the accidental
-    rate as uniformly random detector patterns.
+    transmittance and apparatus efficiency.  Each round group of detected
+    pairs is pushed once through the exact protocol pipeline, split into
+    inside-S test rounds and key rounds in a random basis, and sampled
+    binomially at its Born probabilities.  Accidental coincidences are
+    injected at the accidental rate as uniformly random detector patterns.
     """
     if duration_s <= 0.0:
         raise ValueError("duration must be positive")
@@ -196,72 +221,29 @@ def simulate_session(
     n_det = int(rng.binomial(n_emit, p_det)) if n_emit > 0 else 0
 
     conclusive = sifted = errors = ps_total = ps_in = 0
-
-    if scheme == "haar":
-        # B is a fresh Haar rotation every round; no per-configuration caching
-        states = list(LogicalState)
-        masks = list(PhaseMask)
-        bases = list(BasisChoice)
-        for _ in range(n_det):
-            state = states[rng.integers(4)]
-            mask = masks[rng.integers(4)]
-            u_eff = u @ haar_sample(rng)
-            psi = bob_pipeline(alice_pipeline(prepare(state), "identity", u_eff), mask)
-            if rng.random() < f_test:
-                p_conc, weights = coincident_split(psi)
-                if rng.random() < p_conc:
-                    conclusive += 1
-                    ps_total += 1
-                    if rng.random() < weights.get("S", 0.0) / p_conc:
-                        ps_in += 1
-                continue
-            basis = bases[rng.integers(2)]
-            outcome = measure(psi, basis, rng)
-            if not outcome.conclusive:
-                continue
-            conclusive += 1
-            if basis is state.basis:
-                sifted += 1
-                wrong = outcome.bit != state.key_bit
-                if rng.random() < flip_p:
-                    wrong = not wrong
-                errors += wrong
-    else:
-        if scheme == "none":
-            b_choices = ("identity",)
-        elif scheme == "flip_half":
-            b_choices = ("identity", "flip")
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        configs = [
-            (state, b, mask)
-            for state in LogicalState
-            for b in b_choices
-            for mask in PhaseMask
-        ]
-        counts = rng.multinomial(n_det, np.full(len(configs), 1.0 / len(configs)))
-        for (state, b, mask), n_cfg in zip(configs, counts):
-            if n_cfg == 0:
-                continue
-            psi = bob_pipeline(alice_pipeline(prepare(state), b, u), mask)
-            n_test = int(rng.binomial(n_cfg, f_test))
+    for state, b, u_eff, mask, count in _round_groups(u, scheme, n_det, rng):
+        psi = bob_pipeline(alice_pipeline(prepare(state), b, u_eff), mask)
+        n_test = int(rng.binomial(count, f_test))
+        if n_test:
             p_conc, weights = coincident_split(psi)
-            n_coinc_test = int(rng.binomial(n_test, _clip01(p_conc))) if n_test else 0
+            n_coinc_test = int(rng.binomial(n_test, _clip01(p_conc)))
             conclusive += n_coinc_test
             ps_total += n_coinc_test
             if n_coinc_test:
                 p_in = _clip01(weights.get("S", 0.0) / p_conc)
                 ps_in += int(rng.binomial(n_coinc_test, p_in))
-            n_key = int(n_cfg) - n_test
-            stats = _key_round_stats(psi, state, flip_p)
-            n_first = int(rng.binomial(n_key, 0.5)) if n_key else 0
-            for basis, n_b in zip(BasisChoice, (n_first, n_key - n_first)):
-                p_conc_b, p_err = stats[basis]
-                n_conc = int(rng.binomial(n_b, p_conc_b)) if n_b else 0
-                conclusive += n_conc
-                if basis is state.basis and n_conc:
-                    sifted += n_conc
-                    errors += int(rng.binomial(n_conc, p_err))
+        n_key = count - n_test
+        n_first = int(rng.binomial(n_key, 0.5)) if n_key else 0
+        for basis, n_b in zip(BasisChoice, (n_first, n_key - n_first)):
+            if not n_b:
+                continue
+            p_conc, blocks = conclusive_blocks(psi, basis)
+            n_conc = int(rng.binomial(n_b, _clip01(p_conc)))
+            conclusive += n_conc
+            if basis is state.basis and n_conc:
+                sifted += n_conc
+                p_err = _key_error_probability(blocks, p_conc, state.key_bit, flip_p)
+                errors += int(rng.binomial(n_conc, p_err))
 
     # accidentals: uniform random patterns, charged in full to the sifted stream
     n_acc = int(rng.poisson(accidental_rate(cfg) * duration_s))

@@ -38,6 +38,14 @@ CSV_COLUMNS = (
 )
 
 
+def _known_keys(data: dict, cls, where: str) -> dict:
+    """Return data after checking that every key names a field of cls."""
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+    return data
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved configuration of one experiment run."""
@@ -72,14 +80,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Build a config from its dict form; unknown keys raise ValueError."""
+        _known_keys(data, cls, "config")
         kwargs = {}
         if "noise" in data:
-            kwargs["noise"] = NoiseConfig(**data["noise"])
+            kwargs["noise"] = NoiseConfig(**_known_keys(data["noise"], NoiseConfig, "noise"))
         if "schemes" in data:
             schemes = data["schemes"]
             kwargs["schemes"] = (schemes,) if isinstance(schemes, str) else tuple(schemes)
         if "settings" in data:
-            kwargs["settings"] = tuple(RotatorSetting(**s) for s in data["settings"])
+            kwargs["settings"] = tuple(
+                RotatorSetting(**_known_keys(s, RotatorSetting, "settings"))
+                for s in data["settings"]
+            )
         for key in ("duration_s", "seed", "mode"):
             if key in data:
                 kwargs[key] = data[key]
@@ -166,7 +179,8 @@ def emit(
     config is given it is embedded for provenance: as '# config: ...' comment
     lines ahead of the CSV header, or as a {"config":..., "rows": [...]}
     object for JSON.  Without a config the CSV is exactly header plus rows
-    and the JSON is a bare array.
+    and the JSON is a bare array.  Non-finite values (a row with no sifted
+    bits, say) are written as nan in CSV and as null in JSON.
     """
     if not rows:
         raise ValueError("emit needs at least one row")
@@ -180,13 +194,15 @@ def emit(
         text = buf.getvalue()
     elif format == "json":
         def as_number(value):
-            return float(_fmt(value)) if isinstance(value, float) else value
+            if not isinstance(value, float):
+                return value
+            return float(_fmt(value)) if math.isfinite(value) else None
 
         payload = [
             {name: as_number(getattr(row, name)) for name in CSV_COLUMNS} for row in rows
         ]
         obj = {"config": config.to_dict(), "rows": payload} if config is not None else payload
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     if path is not None:
@@ -212,14 +228,7 @@ def suite_delta_norm(rng, n=1000, delta_fn=channel.delta_params):
 def four_term_expansion(u: channel.CollectiveRotation, alpha: complex, beta: complex):
     """Reference amplitudes of the tagged pair after the channel, from the
     closed-form four-term expansion (independent of the state pipeline)."""
-    a, b = complex(u.a), complex(u.b)
-    d1 = abs(a) ** 2 - abs(b) ** 2
-    d2 = a.conjugate() * b - a * b.conjugate()
-    d3 = -(a * b.conjugate() + a.conjugate() * b)
-    c_keep = (d1 + 1.0) / 2.0
-    c_double = (d1 - 1.0) / 2.0
-    c_hh = (d2 + d3) / 2.0
-    c_vv = (d2 - d3) / 2.0
+    c_keep, c_double, c_hh, c_vv = channel.delta_params(u).expansion_coefficients()
     amps = np.zeros((2, 3, 2, 3), dtype=complex)
     terms = [
         (c_keep, ("H", 1), ("V", 1), ("V", 1), ("H", 1)),

@@ -30,7 +30,6 @@ from .hilbert import (
     POLS,
     PairState,
     apply_pol_unitary,
-    project,
     pure_state,
     tag,
 )
@@ -100,7 +99,7 @@ class RoundOutcome:
             raise ValueError("bit must be present exactly when the round is conclusive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TallyCounts:
     """Counters from a simulated session; merged associatively with +."""
 
@@ -159,6 +158,11 @@ for _p in range(2):
     _SAME_POL[_p, :, _p, :] = True
 
 BLOCK_LABELS = {0: "HH", 1: "S", 2: "VV"}
+_COINCIDENT = np.zeros((2, N_BINS, 2, N_BINS), dtype=bool)
+for _b in range(N_BINS):
+    _COINCIDENT[:, _b, :, _b] = True
+# coincident part of each block, keyed by label
+_BLOCK_MASKS = {label: _COINCIDENT & (_VCOUNT == n) for n, label in BLOCK_LABELS.items()}
 
 
 def prepare(l: LogicalState) -> PairState:
@@ -188,13 +192,14 @@ def coincident_split(s: PairState) -> tuple[float, dict[str, float]]:
 
     Weights are absolute (they sum to the coincidence probability).  The
     blocks are the mask-dephased sectors of the coincident part, labeled by
-    the number of V-polarized photons.
+    the number of V-polarized photons.  This is the one place block weights
+    are computed.
     """
-    kept, p_conc = project(s, COINCIDENT_PAIRS)
+    amps = s.amplitudes
+    p_conc = float(np.sum(np.abs(np.where(_COINCIDENT, amps, 0.0)) ** 2))
     weights: dict[str, float] = {}
-    amps = kept.amplitudes
-    for n, label in BLOCK_LABELS.items():
-        w = float(np.sum(np.abs(np.where(_VCOUNT == n, amps, 0.0)) ** 2))
+    for label, mask in _BLOCK_MASKS.items():
+        w = float(np.sum(np.abs(np.where(mask, amps, 0.0)) ** 2))
         if w > 0.0:
             weights[label] = w
     return p_conc, weights
@@ -202,7 +207,7 @@ def coincident_split(s: PairState) -> tuple[float, dict[str, float]]:
 
 def _bit0_probability(block_amps: np.ndarray, basis: BasisChoice) -> float:
     """P(same polarization) after the basis transform and the Hadamard pair."""
-    state = PairState(block_amps / np.sqrt(np.sum(np.abs(block_amps) ** 2)), "normalized")
+    state = PairState(block_amps, "normalized")
     if basis is BasisChoice.PLUS_MINUS_I:
         state = apply_pol_unitary(state, _BASIS_I_TRANSFORM, "photon1")
     state = apply_pol_unitary(state, HADAMARD, "both")
@@ -217,18 +222,14 @@ def conclusive_blocks(
     Returns (p_conclusive, blocks) where each block is a tuple of
     (label, absolute weight, P(bit = 0 | that block)).
     """
-    kept, p_conc = project(s, COINCIDENT_PAIRS)
-    blocks: list[tuple[str, float, float]] = []
+    p_conc, weights = coincident_split(s)
     if p_conc <= 0.0:
-        return 0.0, blocks
-    amps = kept.amplitudes
-    for n, label in BLOCK_LABELS.items():
-        block = np.where(_VCOUNT == n, amps, 0.0)
-        w = float(np.sum(np.abs(block) ** 2))
-        if w <= 0.0:
-            continue
-        blocks.append((label, w, _bit0_probability(block, basis)))
-    return p_conc, blocks
+        return 0.0, []
+    return p_conc, [
+        (label, w, _bit0_probability(
+            np.where(_BLOCK_MASKS[label], s.amplitudes, 0.0) / np.sqrt(w), basis))
+        for label, w in weights.items()
+    ]
 
 
 def measure(s: PairState, basis: BasisChoice, rng: np.random.Generator) -> RoundOutcome:
@@ -255,17 +256,16 @@ def sift(
     """Reconcile bases round by round and count sifted bits and errors."""
     if len(alice) != len(bob):
         raise ValueError(f"length mismatch: {len(alice)} preparations vs {len(bob)} outcomes")
-    tally = TallyCounts(rounds=len(bob))
+    conclusive = sifted = errors = 0
     for (state, basis), outcome in zip(alice, bob):
         if not outcome.conclusive:
             continue
-        tally.conclusive += 1
+        conclusive += 1
         if outcome.basis_used is not basis:
             continue
-        tally.sifted += 1
-        if outcome.bit != state.key_bit:
-            tally.errors += 1
-    return tally
+        sifted += 1
+        errors += outcome.bit != state.key_bit
+    return TallyCounts(rounds=len(bob), conclusive=conclusive, sifted=sifted, errors=errors)
 
 
 def estimate_pS(states: Sequence[PairState], rng: np.random.Generator) -> float:

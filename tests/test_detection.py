@@ -162,6 +162,24 @@ class TestSimulateSession:
         assert abs(tally.conclusive - expected) < 3 * math.sqrt(expected)
         assert tally.errors <= tally.sifted <= tally.conclusive
 
+    def test_noiseless_haar_session_has_no_errors(self):
+        cfg = NoiseConfig.four_meter(singles_rate_hz=0.0, source_error_prob=0.0, visibility=1.0)
+        tally = simulate_session(cfg, SETTINGS[2], "haar", 5.0, np.random.default_rng(8))
+        assert tally.sifted > 0
+        assert tally.errors == 0
+
+    def test_haar_session_matches_closed_forms(self):
+        # the haar compensation gives survival 1/3 whatever the channel,
+        # the collective bit-flip included
+        cfg = NoiseConfig.four_meter()
+        duration = 20.0
+        tally = simulate_session(cfg, SETTINGS[4], "haar", duration, np.random.default_rng(9))
+        expected = expected_conclusive_rate(cfg, 1.0 / 3.0) * duration
+        assert abs(tally.conclusive - expected) < 3 * math.sqrt(expected)
+        e = expected_qber(cfg, 1.0 / 3.0)
+        sigma = math.sqrt(e * (1.0 - e) / tally.sifted)
+        assert abs(tally.errors / tally.sifted - e) < 3 * sigma
+
     def test_deterministic_given_seed(self):
         cfg = NoiseConfig.four_meter()
         a = simulate_session(cfg, SETTINGS[2], "flip_half", 10.0, np.random.default_rng(42))

@@ -1,6 +1,7 @@
 """Sweep orchestration, output serialization and CLI tests."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -79,6 +80,20 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict({"schemes": "flip_half"})
         assert cfg.schemes == ("flip_half",)
 
+    def test_from_dict_rejects_unknown_top_level_key(self):
+        with pytest.raises(ValueError, match="duraton_s"):
+            ExperimentConfig.from_dict({"duraton_s": 10.0})
+
+    def test_from_dict_rejects_unknown_noise_key(self):
+        noise = dict(FAST_CONFIG.to_dict()["noise"], singles_hz=1.0)
+        with pytest.raises(ValueError, match="singles_hz"):
+            ExperimentConfig.from_dict({"noise": noise})
+
+    def test_from_dict_rejects_unknown_settings_key(self):
+        settings = [{"qwp1_deg": 0.0, "hwp_deg": 0.0, "qwp2_deg": 0.0, "qwp3_deg": 0.0}]
+        with pytest.raises(ValueError, match="qwp3_deg"):
+            ExperimentConfig.from_dict({"settings": settings})
+
 
 class TestRunSweep:
     def test_row_count_and_indices(self):
@@ -139,6 +154,18 @@ class TestEmit:
         data = json.loads(emit(rows, "json"))
         assert isinstance(data, list) and len(data) == 10
         assert set(data[0].keys()) == set(CSV_COLUMNS)
+
+    def test_json_writes_null_for_non_finite_values(self):
+        rows = [dataclasses.replace(fake_rows(1)[0], qber=math.nan, p_S=math.inf)]
+
+        def reject(token):
+            raise ValueError(f"bare {token} in JSON output")
+
+        data = json.loads(emit(rows, "json", config=FAST_CONFIG), parse_constant=reject)
+        assert data["rows"][0]["qber"] is None
+        assert data["rows"][0]["p_S"] is None
+        rec = next(csv.DictReader(io.StringIO(emit(rows, "csv"))))
+        assert (rec["qber"], rec["p_S"]) == ("nan", "inf")
 
     def test_config_echo_csv(self):
         text = emit(fake_rows(2), "csv", config=FAST_CONFIG)

@@ -1,7 +1,11 @@
 """Round-level protocol tests: preparation, pipelines, measurement, sifting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfqkd import hilbert
 from rfqkd.channel import CollectiveRotation, haar_sample, survival_probability
@@ -234,6 +238,11 @@ class TestTallyCounts:
         assert (c.rounds, c.conclusive, c.sifted, c.errors) == (12, 7, 4, 1)
         assert c.duration_s == 3.0
 
+    def test_frozen(self):
+        t = TallyCounts(rounds=2, conclusive=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.conclusive = 2
+
 
 class TestEstimatePS:
     def test_ideal_channel_gives_unity(self):
@@ -285,3 +294,29 @@ class TestCoincidentSplit:
             if p_conc < 1e-12:
                 continue
             assert abs(weights.get("S", 0.0) - p_conc) < 1e-12
+
+
+# real and imaginary parts of all 36 amplitudes, so the HH / VV blocks are
+# populated; a 1e-3 grid keeps every nonzero block weight far from underflow
+_RAW_AMPLITUDES = st.lists(
+    st.integers(-1000, 1000), min_size=72, max_size=72
+).filter(any)
+
+
+def _random_state(xs):
+    amps = (np.array(xs[:36]) + 1j * np.array(xs[36:])) / 1000.0
+    amps /= np.linalg.norm(amps)
+    return hilbert.PairState(amps.reshape(2, 3, 2, 3), "normalized")
+
+
+class TestBlockWeightsAgree:
+    @settings(deadline=None)
+    @given(_RAW_AMPLITUDES)
+    def test_conclusive_blocks_matches_coincident_split(self, xs):
+        s = _random_state(xs)
+        p_split, weights = coincident_split(s)
+        for basis in BasisChoice:
+            p_conc, blocks = conclusive_blocks(s, basis)
+            assert p_conc == pytest.approx(p_split, abs=1e-12)
+            assert {label: w for label, w, _ in blocks} == pytest.approx(weights, abs=1e-12)
+            assert all(-1e-12 <= p0 <= 1.0 + 1e-12 for _, _, p0 in blocks)
