@@ -51,6 +51,7 @@ from .protocol import (
     alice_pipeline,
     bob_pipeline,
     estimate_pS,
+    evolve,
     measure,
     prepare,
     sift,

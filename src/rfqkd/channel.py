@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import check_unitary
+
 SU2_TOL = 1e-12
 DELTA_NORM_TOL = 1e-10
 
@@ -51,10 +53,7 @@ class CollectiveRotation:
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "CollectiveRotation":
         """Normalize any 2x2 unitary to determinant 1 by a global phase."""
-        m = np.asarray(m, dtype=complex)
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-        if dev > 1e-10:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
+        m = check_unitary(m)
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         m = m / np.sqrt(det)
         return cls(complex(m[0, 0]), complex(m[1, 0]))

@@ -11,34 +11,46 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
+from .channel import SCHEMES
 from .detection import NoiseConfig, simulate_session
-from .harness import DEFAULT_SEED, ExperimentConfig, emit, run_sweep, selftest
+from .harness import DEFAULT_SEED, ExperimentConfig, _known_keys, emit, run_sweep, selftest
 from .protocol import TallyCounts
 from .security import report
 
 
+def _fail(message: str) -> NoReturn:
+    """End the run on bad input with a one-line message and exit code 2."""
+    print(f"rfqkd: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_config(args) -> ExperimentConfig:
-    data = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-    if getattr(args, "preset", None):
-        noise = NoiseConfig.one_km() if args.preset == "1km" else NoiseConfig.four_meter()
-        data["noise"] = dataclasses.asdict(noise)
-    cfg = ExperimentConfig.from_dict(data)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "scheme", None):
-        updates["schemes"] = tuple(args.scheme)
-    if getattr(args, "duration_scale", None) is not None:
-        updates["duration_s"] = cfg.duration_s * args.duration_scale
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
+    """The config file, the preset and the flags, merged and validated."""
+    try:
+        data = {}
+        if args.config:
+            with open(args.config, encoding="utf-8") as fh:
+                data = json.load(fh)
+        if getattr(args, "preset", None):
+            noise = NoiseConfig.one_km() if args.preset == "1km" else NoiseConfig.four_meter()
+            data["noise"] = dataclasses.asdict(noise)
+        cfg = ExperimentConfig.from_dict(data)
+        updates = {}
+        if args.seed is not None:
+            updates["seed"] = args.seed
+        if getattr(args, "scheme", None):
+            updates["schemes"] = tuple(args.scheme)
+        if getattr(args, "duration_scale", None) is not None:
+            updates["duration_s"] = cfg.duration_s * args.duration_scale
+        if updates:
+            cfg = dataclasses.replace(cfg, **updates)
+        cfg.validate()
+    except ValueError as exc:  # json.JSONDecodeError included
+        _fail(f"bad configuration: {exc}")
     return cfg
 
 
@@ -64,12 +76,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_single(args) -> int:
+    if args.scheme and len(args.scheme) > 1:
+        _fail("single runs one session: give --scheme at most once")
     cfg = _load_config(args)
-    cfg.validate()
     if not 0 <= args.setting < len(cfg.settings):
-        raise SystemExit(
-            f"setting index {args.setting} out of range (0..{len(cfg.settings) - 1})"
-        )
+        _fail(f"setting index {args.setting} out of range (0..{len(cfg.settings) - 1})")
     setting = cfg.settings[args.setting]
     scheme = cfg.schemes[0]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -100,10 +111,13 @@ def _print_report(tally: TallyCounts) -> None:
 
 
 def _cmd_keyrate(args) -> int:
-    with open(args.tally, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    data = payload.get("tally", payload)
-    tally = TallyCounts(**data)
+    try:
+        with open(args.tally, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        data = payload.get("tally", payload)
+        tally = TallyCounts(**_known_keys(data, TallyCounts, "tally"))
+    except ValueError as exc:  # json.JSONDecodeError included
+        _fail(f"bad tally file {args.tally}: {exc}")
     _print_report(tally)
     return 0
 
@@ -126,20 +140,22 @@ def build_parser() -> argparse.ArgumentParser:
         if preset:
             p.add_argument("--preset", choices=("4m", "1km"),
                            help="noise preset overriding the config file")
-            p.add_argument("--scheme", action="append",
-                           choices=("none", "flip_half", "haar"),
-                           help="compensation scheme(s); repeatable")
             p.add_argument("--duration-scale", type=float, default=None,
                            help="multiply the configured per-setting duration")
 
     p_sweep = sub.add_parser("sweep", help="run the rotator sweep and emit a table")
     common(p_sweep)
+    p_sweep.add_argument("--scheme", action="append", choices=SCHEMES,
+                         help="compensation scheme(s); repeatable")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", help="output path (default sweep_results.<fmt>)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_single = sub.add_parser("single", help="run one session and write its tally")
     common(p_single)
+    p_single.add_argument("--scheme", action="append", choices=SCHEMES,
+                          help="compensation scheme, at most once "
+                               "(default: the first scheme of the config)")
     p_single.add_argument("--setting", type=int, default=0, help="sweep setting index")
     p_single.add_argument("--out", help="output path (default session_tally.json)")
     p_single.set_defaults(fn=_cmd_single)

@@ -35,11 +35,9 @@ from .protocol import (
     LogicalState,
     PhaseMask,
     TallyCounts,
-    alice_pipeline,
-    bob_pipeline,
     coincident_split,
     conclusive_blocks,
-    prepare,
+    evolve,
 )
 
 __all__ = [
@@ -222,7 +220,7 @@ def simulate_session(
 
     conclusive = sifted = errors = ps_total = ps_in = 0
     for state, b, u_eff, mask, count in _round_groups(u, scheme, n_det, rng):
-        psi = bob_pipeline(alice_pipeline(prepare(state), b, u_eff), mask)
+        psi = evolve(state, b, u_eff, mask)
         n_test = int(rng.binomial(count, f_test))
         if n_test:
             p_conc, weights = coincident_split(psi)

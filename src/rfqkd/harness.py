@@ -244,23 +244,14 @@ def four_term_expansion(u: channel.CollectiveRotation, alpha: complex, beta: com
     return amps
 
 
-def _evolved_amplitudes(u, alpha, beta):
-    s = hilbert.pure_state({(("H", 0), ("V", 0)): alpha, (("V", 0), ("H", 0)): beta})
-    evolved = protocol.bob_pipeline(
-        protocol.alice_pipeline(s, "identity", u), protocol.PhaseMask.ZERO
-    )
-    return evolved.amplitudes
-
-
 def suite_expansion(rng, n=100):
     """Pipeline evolution matches the four-term expansion coefficient-wise."""
     worst = 0.0
     for _ in range(n):
         u = channel.haar_sample(rng)
         for state in protocol.LogicalState:
-            alpha, beta = state.alpha_beta
-            dev = np.max(np.abs(_evolved_amplitudes(u, alpha, beta)
-                                - four_term_expansion(u, alpha, beta)))
+            dev = np.max(np.abs(protocol.evolve(state, "identity", u).amplitudes
+                                - four_term_expansion(u, *state.alpha_beta)))
             worst = max(worst, float(dev))
     return worst <= 1e-10, f"max coefficient deviation = {worst:.3e}"
 
@@ -272,10 +263,7 @@ def suite_dfs(rng, n=50):
         u = channel.haar_sample(rng)
         for state in protocol.LogicalState:
             alpha, beta = state.alpha_beta
-            evolved = protocol.bob_pipeline(
-                protocol.alice_pipeline(protocol.prepare(state), "identity", u),
-                protocol.PhaseMask.ZERO,
-            )
+            evolved = protocol.evolve(state, "identity", u)
             kept, prob = hilbert.project(evolved, protocol.COINCIDENT_PAIRS)
             if prob < 1e-6:
                 continue  # survival can vanish at isolated rotations
@@ -324,11 +312,7 @@ def suite_oracle(rng, n=100):
     worst = 0.0
     for _ in range(n):
         u = channel.haar_sample(rng)
-        evolved = protocol.bob_pipeline(
-            protocol.alice_pipeline(protocol.prepare(protocol.LogicalState.PSI_PLUS),
-                                    "identity", u),
-            protocol.PhaseMask.ZERO,
-        )
+        evolved = protocol.evolve(protocol.LogicalState.PSI_PLUS, "identity", u)
         _, prob = hilbert.project(evolved, protocol.COINCIDENT_PAIRS)
         worst = max(worst, abs(prob - channel.survival_probability(u)))
         avg = channel.randomized_survival(u, "flip_half")

@@ -111,10 +111,6 @@ class PairState:
         """Amplitude of one (mode, mode) basis ket."""
         return complex(self.amplitudes[_pair_index(pair)])
 
-    def flat(self) -> np.ndarray:
-        """Writable length-36 copy of the amplitudes (C order)."""
-        return self.amplitudes.reshape(DIM).copy()
-
     def normalized(self) -> "PairState":
         """Rescale to unit norm; raises on the zero vector."""
         n2 = self.norm2
@@ -141,7 +137,8 @@ def pure_state(assignments: Mapping[ModePair, complex] | Iterable[tuple[ModePair
     return PairState(amps / np.sqrt(n2), "normalized")
 
 
-def _check_unitary(u: np.ndarray) -> np.ndarray:
+def check_unitary(u: np.ndarray) -> np.ndarray:
+    """Return u as a complex 2x2 array; raises unless it is unitary within 1e-10."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"polarization unitary must be 2x2, got shape {u.shape}")
@@ -158,7 +155,7 @@ def apply_pol_unitary(s: PairState, u: np.ndarray, which: str = "both") -> PairS
     """
     if which not in ("photon1", "photon2", "both"):
         raise ValueError(f"which must be 'photon1', 'photon2' or 'both', got {which!r}")
-    u = _check_unitary(u)
+    u = check_unitary(u)
     amps = s.amplitudes
     if which in ("photon1", "both"):
         amps = np.einsum("ij,jbkc->ibkc", u, amps)

@@ -25,14 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import CollectiveRotation
-from .hilbert import (
-    N_BINS,
-    POLS,
-    PairState,
-    apply_pol_unitary,
-    pure_state,
-    tag,
-)
+from .hilbert import N_BINS, POLS, PairState, apply_pol_unitary, tag
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * _SQRT_HALF
@@ -146,10 +139,7 @@ class TallyCounts:
 COINCIDENT_PAIRS = tuple(
     ((p1, b), (p2, b)) for b in range(N_BINS) for p1 in POLS for p2 in POLS
 )
-# the protected subspace after both tags: different polarizations, both tagged once
-S_PAIRS = ((("H", 1), ("V", 1)), (("V", 1), ("H", 1)))
-
-_V = POLS.index("V")
+_H, _V = POLS.index("H"), POLS.index("V")
 _VCOUNT = np.zeros((2, N_BINS, 2, N_BINS), dtype=int)
 _VCOUNT[_V, :, :, :] += 1
 _VCOUNT[:, :, _V, :] += 1
@@ -165,10 +155,33 @@ for _b in range(N_BINS):
 _BLOCK_MASKS = {label: _COINCIDENT & (_VCOUNT == n) for n, label in BLOCK_LABELS.items()}
 
 
+def _bit0_form(photon1: np.ndarray) -> np.ndarray:
+    """Hermitian F with P(bit 0) = <x|F|x>: the transform photon1 on photon 1,
+    the Hadamard on both photons, then the same-polarization weight."""
+    eye = np.eye(N_BINS)
+    m = np.kron(np.kron(HADAMARD @ photon1, eye), np.kron(HADAMARD, eye))
+    return m.conj().T @ (_SAME_POL.reshape(-1, 1) * m)
+
+
+_BIT0_FORMS = {
+    BasisChoice.PLUS_MINUS: _bit0_form(np.eye(2)),
+    BasisChoice.PLUS_MINUS_I: _bit0_form(_BASIS_I_TRANSFORM),
+}
+
+
+def _prepared_state(l: LogicalState) -> PairState:
+    # rescaled because alpha_beta's rounded 1/sqrt(2) leaves the norm 2 ulp short
+    amps = np.zeros((2, N_BINS, 2, N_BINS), dtype=complex)
+    amps[_H, 0, _V, 0], amps[_V, 0, _H, 0] = l.alpha_beta
+    return PairState(amps).normalized()
+
+
+_PREPARED = {l: _prepared_state(l) for l in LogicalState}
+
+
 def prepare(l: LogicalState) -> PairState:
-    """Normalized two-photon state alpha |H V> + beta |V H| in time bin 0."""
-    alpha, beta = l.alpha_beta
-    return pure_state({(("H", 0), ("V", 0)): alpha, (("V", 0), ("H", 0)): beta})
+    """Normalized two-photon state alpha |H V> + beta |V H> in time bin 0."""
+    return _PREPARED[l]
 
 
 def alice_pipeline(s: PairState, b_choice: str, u: CollectiveRotation) -> PairState:
@@ -185,6 +198,13 @@ def bob_pipeline(s: PairState, mask: PhaseMask) -> PairState:
     """Bob's random phase mask on both photons followed by his tag of H."""
     out = apply_pol_unitary(s, mask.matrix, "both")
     return tag(out, "H")
+
+
+def evolve(
+    l: LogicalState, b_choice: str, u: CollectiveRotation, mask: PhaseMask = PhaseMask.ZERO
+) -> PairState:
+    """One honest round up to detection: prepare, Alice's pipeline, Bob's pipeline."""
+    return bob_pipeline(alice_pipeline(prepare(l), b_choice, u), mask)
 
 
 def coincident_split(s: PairState) -> tuple[float, dict[str, float]]:
@@ -207,11 +227,8 @@ def coincident_split(s: PairState) -> tuple[float, dict[str, float]]:
 
 def _bit0_probability(block_amps: np.ndarray, basis: BasisChoice) -> float:
     """P(same polarization) after the basis transform and the Hadamard pair."""
-    state = PairState(block_amps, "normalized")
-    if basis is BasisChoice.PLUS_MINUS_I:
-        state = apply_pol_unitary(state, _BASIS_I_TRANSFORM, "photon1")
-    state = apply_pol_unitary(state, HADAMARD, "both")
-    return float(np.sum(np.abs(np.where(_SAME_POL, state.amplitudes, 0.0)) ** 2))
+    x = block_amps.reshape(-1)
+    return float(np.vdot(x, _BIT0_FORMS[basis] @ x).real)
 
 
 def conclusive_blocks(
@@ -242,7 +259,6 @@ def measure(s: PairState, basis: BasisChoice, rng: np.random.Generator) -> Round
     p_conc, blocks = conclusive_blocks(s, basis)
     if rng.random() >= p_conc:
         return RoundOutcome(conclusive=False, bit=None, basis_used=basis)
-    labels = [b[0] for b in blocks]
     weights = np.array([b[1] for b in blocks])
     idx = rng.choice(len(blocks), p=weights / weights.sum())
     label, _, p_bit0 = blocks[idx]

@@ -279,3 +279,39 @@ class TestCli:
 
     def test_selftest_exit_code(self):
         assert cli.main(["selftest"]) == 0
+
+
+def _input_error(capsys, argv) -> str:
+    """Run the CLI on bad input; it must exit 2 with one line on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rfqkd: error: ") and err.count("\n") == 1
+    return err
+
+
+class TestCliInputErrors:
+    def test_unknown_config_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"duraton_s": 5}))
+        assert "duraton_s" in _input_error(capsys, ["sweep", "--config", str(path)])
+
+    def test_malformed_config_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{\"seed\": 1,")
+        _input_error(capsys, ["sweep", "--config", str(path)])
+
+    def test_unknown_tally_key(self, tmp_path, capsys):
+        path = tmp_path / "tally.json"
+        path.write_text(json.dumps({"tally": {"rounds": 10, "conclusiv": 3}}))
+        assert "conclusiv" in _input_error(capsys, ["keyrate", str(path)])
+
+    def test_setting_out_of_range(self, capsys):
+        err = _input_error(capsys, ["single", "--preset", "4m", "--setting", "5"])
+        assert "out of range" in err
+
+    def test_single_rejects_repeated_scheme(self, tmp_path, capsys):
+        err = _input_error(capsys, ["single", "--scheme", "haar", "--scheme", "none",
+                                    "--duration-scale", "0.001", "--out", str(tmp_path / "t.json")])
+        assert "--scheme" in err

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from rfqkd import hilbert
 from rfqkd.channel import CollectiveRotation, haar_sample, survival_probability
 from rfqkd.protocol import (
+    _BASIS_I_TRANSFORM,
     COINCIDENT_PAIRS,
+    HADAMARD,
     BasisChoice,
     LogicalState,
     PhaseMask,
@@ -320,3 +322,48 @@ class TestBlockWeightsAgree:
             assert p_conc == pytest.approx(p_split, abs=1e-12)
             assert {label: w for label, w, _ in blocks} == pytest.approx(weights, abs=1e-12)
             assert all(-1e-12 <= p0 <= 1.0 + 1e-12 for _, _, p0 in blocks)
+
+
+_P1, _B1, _P2, _B2 = np.indices((2, 3, 2, 3))
+# coincident part of each block by its number of V photons (V is index 1)
+_BLOCK_REFERENCE = {label: (_B1 == _B2) & (_P1 + _P2 == n_v)
+                    for label, n_v in (("HH", 0), ("S", 1), ("VV", 2))}
+
+
+def _chain_bit0(block_amps, basis):
+    """P(bit 0) through the explicit transform chain on a PairState."""
+    state = hilbert.PairState(block_amps, "normalized")
+    if basis is BasisChoice.PLUS_MINUS_I:
+        state = hilbert.apply_pol_unitary(state, _BASIS_I_TRANSFORM, "photon1")
+    state = hilbert.apply_pol_unitary(state, HADAMARD, "both")
+    return sum(float(np.sum(np.abs(state.amplitudes[p, :, p, :]) ** 2)) for p in range(2))
+
+
+class TestBitOddsMatchTransformChain:
+    @settings(deadline=None)
+    @given(_RAW_AMPLITUDES)
+    def test_precomputed_forms_match_chain(self, xs):
+        s = _random_state(xs)
+        for basis in BasisChoice:
+            _, blocks = conclusive_blocks(s, basis)
+            for label, w, p0 in blocks:
+                block = np.where(_BLOCK_REFERENCE[label], s.amplitudes, 0.0) / np.sqrt(w)
+                assert p0 == pytest.approx(_chain_bit0(block, basis), abs=1e-12)
+
+
+class TestLocalRotationsStayInS:
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 2**32 - 1))
+    def test_independent_photon_rotations_keep_coincidences_in_s(self, seed):
+        # U1 on photon 1 and U2 on photon 2, between Alice's tag and Bob's pipeline
+        rng = np.random.default_rng(seed)
+        u1, u2 = haar_sample(rng).matrix, haar_sample(rng).matrix
+        for state in LogicalState:
+            rotated = hilbert.apply_pol_unitary(
+                hilbert.apply_pol_unitary(hilbert.tag(prepare(state), "V"), u1, "photon1"),
+                u2, "photon2",
+            )
+            for mask in PhaseMask:
+                p_conc, weights = coincident_split(bob_pipeline(rotated, mask))
+                assert set(weights) <= {"S"}
+                assert weights.get("S", 0.0) == pytest.approx(p_conc, abs=1e-12)
