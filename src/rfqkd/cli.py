@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import SCHEMES
 from .detection import NoiseConfig, simulate_session
-from .harness import DEFAULT_SEED, ExperimentConfig, _known_keys, emit, run_sweep, selftest
+from .harness import DEFAULT_SEED, ExperimentConfig, _checked_fields, emit, run_sweep, selftest
 from .protocol import TallyCounts
 from .security import report
 
@@ -35,21 +35,20 @@ def _load_config(args) -> ExperimentConfig:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        if getattr(args, "preset", None):
-            noise = NoiseConfig.one_km() if args.preset == "1km" else NoiseConfig.four_meter()
-            data["noise"] = dataclasses.asdict(noise)
         cfg = ExperimentConfig.from_dict(data)
         updates = {}
+        if args.preset:
+            updates["noise"] = (
+                NoiseConfig.one_km() if args.preset == "1km" else NoiseConfig.four_meter())
         if args.seed is not None:
             updates["seed"] = args.seed
-        if getattr(args, "scheme", None):
+        if args.scheme:
             updates["schemes"] = tuple(args.scheme)
-        if getattr(args, "duration_scale", None) is not None:
+        if args.duration_scale is not None:
             updates["duration_s"] = cfg.duration_s * args.duration_scale
-        if updates:
-            cfg = dataclasses.replace(cfg, **updates)
+        cfg = dataclasses.replace(cfg, **updates)
         cfg.validate()
-    except ValueError as exc:  # json.JSONDecodeError included
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError included
         _fail(f"bad configuration: {exc}")
     return cfg
 
@@ -114,17 +113,16 @@ def _cmd_keyrate(args) -> int:
     try:
         with open(args.tally, encoding="utf-8") as fh:
             payload = json.load(fh)
-        data = payload.get("tally", payload)
-        tally = TallyCounts(**_known_keys(data, TallyCounts, "tally"))
-    except ValueError as exc:  # json.JSONDecodeError included
+        data = payload.get("tally", payload) if isinstance(payload, dict) else payload
+        tally = TallyCounts(**_checked_fields(data, TallyCounts, "tally"))
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError included
         _fail(f"bad tally file {args.tally}: {exc}")
     _print_report(tally)
     return 0
 
 
 def _cmd_selftest(args) -> int:
-    ok = selftest(seed=args.seed if args.seed is not None else DEFAULT_SEED)
-    return 0 if ok else 1
+    return 0 if selftest(seed=args.seed) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,14 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        if preset:
-            p.add_argument("--preset", choices=("4m", "1km"),
-                           help="noise preset overriding the config file")
-            p.add_argument("--duration-scale", type=float, default=None,
-                           help="multiply the configured per-setting duration")
+        p.add_argument("--preset", choices=("4m", "1km"),
+                       help="noise preset overriding the config file")
+        p.add_argument("--duration-scale", type=float, default=None,
+                       help="multiply the configured per-setting duration")
 
     p_sweep = sub.add_parser("sweep", help="run the rotator sweep and emit a table")
     common(p_sweep)
@@ -165,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.set_defaults(fn=_cmd_keyrate)
 
     p_self = sub.add_parser("selftest", help="run the invariant suites")
-    common(p_self, preset=False)
+    p_self.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
     p_self.set_defaults(fn=_cmd_selftest)
 
     return parser

@@ -19,7 +19,9 @@ Monte Carlo and the closed-form expectations:
 Detected pairs are sampled as round groups (state, compensation B, effective
 rotation, phase mask, count); only the group generator depends on the
 compensation scheme.  Every group is evaluated once through the exact
-pipeline and its test and key rounds are drawn binomially.
+pipeline, in its own basis, and thinned binomially: conclusive, then
+inside-S test round or key round, then sifted, then wrong.  Accidentals are
+thinned the same way at fixed odds.
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ import numpy as np
 
 from .channel import CollectiveRotation, RotatorSetting, Scheme, from_waveplates, haar_sample
 from .protocol import (
-    BasisChoice,
     LogicalState,
     PhaseMask,
     TallyCounts,
-    coincident_split,
     conclusive_blocks,
     evolve,
 )
@@ -155,12 +155,19 @@ def _clip01(p: float) -> float:
     return min(max(float(p), 0.0), 1.0)
 
 
-def _key_error_probability(
-    blocks: list[tuple[str, float, float]], p_conc: float, key_bit: int, flip_p: float
-) -> float:
-    """P(wrong sifted bit) of a conclusive key round, intrinsic flips included."""
-    p_correct = sum(w * (p0 if key_bit == 0 else 1.0 - p0) for _, w, p0 in blocks) / p_conc
-    return _clip01((1.0 - p_correct) * (1.0 - flip_p) + p_correct * flip_p)
+def _thin(rng: np.random.Generator, n: int, p_conc: float, p_in: float, p_sift: float,
+          p_err: float, f_test: float) -> tuple[int, int, int, int, int]:
+    """Thin n detected pairs into (conclusive, test, test inside S, sifted, errors).
+
+    A pair is conclusive with p_conc; a conclusive pair is a test round with
+    f_test, and then inside S with p_in, or else a key round, sifted with
+    p_sift and then wrong with p_err.
+    """
+    conclusive = int(rng.binomial(n, _clip01(p_conc)))
+    test = int(rng.binomial(conclusive, f_test))
+    test_in = int(rng.binomial(test, _clip01(p_in)))
+    sifted = int(rng.binomial(conclusive - test, p_sift))
+    return conclusive, test, test_in, sifted, int(rng.binomial(sifted, _clip01(p_err)))
 
 
 def _round_groups(u: CollectiveRotation, scheme: Scheme, n_det: int, rng: np.random.Generator):
@@ -203,10 +210,12 @@ def simulate_session(
 
     Emitted pairs are Poisson at the pair rate, thinned by the pair
     transmittance and apparatus efficiency.  Each round group of detected
-    pairs is pushed once through the exact protocol pipeline, split into
-    inside-S test rounds and key rounds in a random basis, and sampled
-    binomially at its Born probabilities.  Accidental coincidences are
-    injected at the accidental rate as uniformly random detector patterns.
+    pairs is pushed once through the exact protocol pipeline and read in
+    its own basis; its pairs are then thinned binomially at the Born
+    probabilities: conclusive, then inside-S test round or key round, then
+    sifted (Bob's basis matches with 1/2), then wrong.  Accidental
+    coincidences arrive at the accidental rate and take the same thinning
+    as uniformly random detector patterns.
     """
     if duration_s <= 0.0:
         raise ValueError("duration must be positive")
@@ -218,42 +227,20 @@ def simulate_session(
     n_emit = int(rng.poisson(cfg.pair_rate_hz * duration_s))
     n_det = int(rng.binomial(n_emit, p_det)) if n_emit > 0 else 0
 
-    conclusive = sifted = errors = ps_total = ps_in = 0
+    draws = []
     for state, b, u_eff, mask, count in _round_groups(u, scheme, n_det, rng):
-        psi = evolve(state, b, u_eff, mask)
-        n_test = int(rng.binomial(count, f_test))
-        if n_test:
-            p_conc, weights = coincident_split(psi)
-            n_coinc_test = int(rng.binomial(n_test, _clip01(p_conc)))
-            conclusive += n_coinc_test
-            ps_total += n_coinc_test
-            if n_coinc_test:
-                p_in = _clip01(weights.get("S", 0.0) / p_conc)
-                ps_in += int(rng.binomial(n_coinc_test, p_in))
-        n_key = count - n_test
-        n_first = int(rng.binomial(n_key, 0.5)) if n_key else 0
-        for basis, n_b in zip(BasisChoice, (n_first, n_key - n_first)):
-            if not n_b:
-                continue
-            p_conc, blocks = conclusive_blocks(psi, basis)
-            n_conc = int(rng.binomial(n_b, _clip01(p_conc)))
-            conclusive += n_conc
-            if basis is state.basis and n_conc:
-                sifted += n_conc
-                p_err = _key_error_probability(blocks, p_conc, state.key_bit, flip_p)
-                errors += int(rng.binomial(n_conc, p_err))
+        p_conc, blocks = conclusive_blocks(evolve(state, b, u_eff, mask), state.basis)
+        if not blocks:
+            continue  # no coincident weight: no pair of this group is conclusive
+        p_in = sum(w for label, w, _ in blocks if label == "S") / p_conc
+        p_right = sum(w * (p0 if state.key_bit == 0 else 1.0 - p0) for _, w, p0 in blocks) / p_conc
+        p_err = (1.0 - p_right) * (1.0 - flip_p) + p_right * flip_p
+        draws.append(_thin(rng, count, p_conc, p_in, 0.5, p_err, f_test))
 
-    # accidentals: uniform random patterns, charged in full to the sifted stream
+    # accidentals: conclusive, inside S with 1/2, never sifted away, right with 1/2
     n_acc = int(rng.poisson(accidental_rate(cfg) * duration_s))
-    conclusive += n_acc
-    n_acc_test = int(rng.binomial(n_acc, f_test)) if n_acc else 0
-    ps_total += n_acc_test
-    if n_acc_test:
-        ps_in += int(rng.binomial(n_acc_test, 0.5))
-    n_acc_key = n_acc - n_acc_test
-    sifted += n_acc_key
-    if n_acc_key:
-        errors += int(rng.binomial(n_acc_key, 0.5))
+    draws.append(_thin(rng, n_acc, 1.0, 0.5, 1.0, 0.5, f_test))
+    conclusive, ps_total, ps_in, sifted, errors = (sum(col) for col in zip(*draws))
 
     return TallyCounts(
         rounds=n_emit + n_acc,

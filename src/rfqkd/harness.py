@@ -38,11 +38,25 @@ CSV_COLUMNS = (
 )
 
 
-def _known_keys(data: dict, cls, where: str) -> dict:
-    """Return data after checking that every key names a field of cls."""
-    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+# types a JSON value may take for a dataclass field, keyed by the field's annotation
+_JSON_TYPES = {"int": (int,), "float": (int, float), "tuple[str, ...]": (str, list, tuple),
+               "tuple[RotatorSetting, ...]": (list, tuple)}
+
+
+def _checked_fields(data, cls, where: str) -> dict:
+    """Return data after checking that it is an object whose keys name fields
+    of cls and whose values have the JSON type those fields need."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+    for key, value in data.items():
+        allowed = _JSON_TYPES.get(types[key])
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            names = " or ".join(t.__name__ for t in allowed)
+            raise ValueError(f"{where} key {key!r} must be {names}, got {value!r}")
     return data
 
 
@@ -81,16 +95,16 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Build a config from its dict form; unknown keys raise ValueError."""
-        _known_keys(data, cls, "config")
+        _checked_fields(data, cls, "config")
         kwargs = {}
         if "noise" in data:
-            kwargs["noise"] = NoiseConfig(**_known_keys(data["noise"], NoiseConfig, "noise"))
+            kwargs["noise"] = NoiseConfig(**_checked_fields(data["noise"], NoiseConfig, "noise"))
         if "schemes" in data:
             schemes = data["schemes"]
             kwargs["schemes"] = (schemes,) if isinstance(schemes, str) else tuple(schemes)
         if "settings" in data:
             kwargs["settings"] = tuple(
-                RotatorSetting(**_known_keys(s, RotatorSetting, "settings"))
+                RotatorSetting(**_checked_fields(s, RotatorSetting, "settings"))
                 for s in data["settings"]
             )
         for key in ("duration_s", "seed", "mode"):
@@ -124,9 +138,9 @@ def _row_from_tally(index: int, scheme: str, tally: TallyCounts) -> SweepRow:
     p_s = (
         tally.pS_sample_inS / tally.pS_sample_total if tally.pS_sample_total > 0 else math.nan
     )
-    if math.isfinite(qber) and math.isfinite(p_s) and 0.0 < p_s <= 1.0 and qber <= 0.5:
-        rate_fraction = security.key_rate(p_s, qber)
-    else:
+    try:
+        rate_fraction = security.report(tally).rate_fraction
+    except ValueError:  # no sifted bits, no test sample, p_S = 0 or QBER > 0.5
         rate_fraction = math.nan
     return SweepRow(
         setting_index=index,
@@ -275,11 +289,11 @@ def suite_dfs(rng, n=50):
     return abs(worst - 1.0) <= 1e-10, f"min fidelity = {worst:.12f}"
 
 
-def suite_haar_mean(rng, n=100_000, survival_fn=channel.survival_probability):
+def suite_haar_mean(rng, n=100_000):
     """Mean coincident survival over Haar rotations is 1/3."""
     total = 0.0
     for _ in range(n):
-        total += survival_fn(channel.haar_sample(rng))
+        total += channel.survival_probability(channel.haar_sample(rng))
     mean = total / n
     return abs(mean - 1.0 / 3.0) <= 0.005, f"mean survival = {mean:.5f}"
 

@@ -180,6 +180,21 @@ class TestSimulateSession:
         sigma = math.sqrt(e * (1.0 - e) / tally.sifted)
         assert abs(tally.errors / tally.sifted - e) < 3 * sigma
 
+    @pytest.mark.parametrize("scheme", ["none", "flip_half", "haar"])
+    def test_test_and_key_split(self, scheme):
+        # without accidentals every test round is inside S; the test sample
+        # takes f_test of the conclusive pairs and the rest is sifted with 1/2
+        cfg = NoiseConfig.four_meter(singles_rate_hz=0.0, ps_sample_fraction=0.2)
+        duration = 10.0
+        tally = simulate_session(cfg, SETTINGS[1], scheme, duration, np.random.default_rng(10))
+        assert tally.pS_sample_inS == tally.pS_sample_total
+        f = cfg.ps_sample_fraction
+        n = tally.conclusive
+        assert abs(tally.pS_sample_total - f * n) < 3 * math.sqrt(n * f * (1.0 - f))
+        survival = randomized_survival(from_waveplates(SETTINGS[1]), scheme)
+        expected = expected_sifted_rate(cfg, survival) * duration
+        assert abs(tally.sifted - expected) < 3 * math.sqrt(expected)
+
     def test_deterministic_given_seed(self):
         cfg = NoiseConfig.four_meter()
         a = simulate_session(cfg, SETTINGS[2], "flip_half", 10.0, np.random.default_rng(42))

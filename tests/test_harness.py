@@ -8,19 +8,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rfqkd import cli
-from rfqkd.channel import RotatorSetting, sweep_settings
+from rfqkd.channel import SCHEMES, RotatorSetting, sweep_settings
 from rfqkd.detection import NoiseConfig
 from rfqkd.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     SweepRow,
+    _row_from_tally,
     emit,
     run_sweep,
     selftest,
     suite_delta_norm,
 )
+from rfqkd.protocol import TallyCounts
+from rfqkd.security import key_rate
 
 FAST_CONFIG = ExperimentConfig(
     noise=NoiseConfig.four_meter(),
@@ -45,6 +50,28 @@ def fake_rows(n=10):
         )
         for i in range(n)
     ]
+
+
+def _unit(lo=0.0):
+    return st.floats(lo, 1.0)
+
+
+_RATES = st.floats(0.0, 1e6)
+_ANGLES = st.floats(-360.0, 360.0)
+_CONFIGS = st.builds(
+    ExperimentConfig,
+    noise=st.builds(
+        NoiseConfig, pair_rate_hz=_RATES, apparatus_efficiency=_unit(1e-9),
+        fiber_length_km=_RATES, atten_db_per_km=_RATES, extra_loss_db=_RATES,
+        singles_rate_hz=_RATES, window_ns=_RATES, source_error_prob=_unit(),
+        visibility=_unit(1e-9), ps_sample_fraction=st.floats(0.0, 0.99)),
+    schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=3).map(tuple),
+    settings=st.lists(st.builds(RotatorSetting, _ANGLES, _ANGLES, _ANGLES),
+                      min_size=1, max_size=5).map(tuple),
+    duration_s=st.floats(1e-6, 1e7),
+    seed=st.integers(0, 2**63 - 1),
+    mode=st.sampled_from(("sweep", "single", "keyrate", "selftest")),
+)
 
 
 class TestExperimentConfig:
@@ -75,6 +102,11 @@ class TestExperimentConfig:
             seed=99,
         )
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @given(_CONFIGS)
+    def test_dict_round_trip_property(self, cfg):
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_from_dict_accepts_single_scheme_string(self):
         cfg = ExperimentConfig.from_dict({"schemes": "flip_half"})
@@ -128,6 +160,28 @@ class TestRunSweep:
         assert abs(rows[0].qber - 0.065) < 0.01
         assert rows[-1].qber > 0.3
         assert rows[-1].conclusive_rate_hz < 0.01 * rows[0].conclusive_rate_hz
+
+
+class TestRowKeyFraction:
+    @pytest.mark.parametrize("counts, expected", [
+        pytest.param(dict(sifted=0, errors=0, pS_sample_total=5, pS_sample_inS=5), None,
+                     id="no-sifted-bits"),
+        pytest.param(dict(sifted=40, errors=2, pS_sample_total=0, pS_sample_inS=0), None,
+                     id="empty-test-sample"),
+        pytest.param(dict(sifted=40, errors=2, pS_sample_total=5, pS_sample_inS=0), None,
+                     id="p_S-zero"),
+        pytest.param(dict(sifted=40, errors=21, pS_sample_total=5, pS_sample_inS=5), None,
+                     id="qber-above-half"),
+        pytest.param(dict(sifted=40, errors=2, pS_sample_total=20, pS_sample_inS=19),
+                     key_rate(19 / 20, 2 / 40), id="valid"),
+    ])
+    def test_key_fraction_only_where_the_bound_applies(self, counts, expected):
+        tally = TallyCounts(rounds=200, conclusive=100, duration_s=10.0, **counts)
+        fraction = _row_from_tally(0, "none", tally).key_rate_fraction
+        if expected is None:
+            assert math.isnan(fraction)
+        else:
+            assert fraction == expected
 
 
 class TestEmit:
@@ -280,6 +334,12 @@ class TestCli:
     def test_selftest_exit_code(self):
         assert cli.main(["selftest"]) == 0
 
+    def test_selftest_rejects_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", "--config", "experiment.json"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
 
 def _input_error(capsys, argv) -> str:
     """Run the CLI on bad input; it must exit 2 with one line on stderr."""
@@ -315,3 +375,37 @@ class TestCliInputErrors:
         err = _input_error(capsys, ["single", "--scheme", "haar", "--scheme", "none",
                                     "--duration-scale", "0.001", "--out", str(tmp_path / "t.json")])
         assert "--scheme" in err
+
+    def test_tally_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "tally.json"
+        path.write_text(json.dumps([1, 2, 3]))
+        assert "JSON object" in _input_error(capsys, ["keyrate", str(path)])
+
+    def test_tally_count_not_a_number(self, tmp_path, capsys):
+        path = tmp_path / "tally.json"
+        path.write_text(json.dumps({"rounds": "x"}))
+        assert "'rounds'" in _input_error(capsys, ["keyrate", str(path)])
+
+    def test_missing_tally_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert "missing.json" in _input_error(capsys, ["keyrate", str(path)])
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert "missing.json" in _input_error(capsys, ["sweep", "--config", str(path)])
+
+    def test_config_duration_not_a_number(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"duration_s": "x"}))
+        assert "'duration_s'" in _input_error(capsys, ["sweep", "--config", str(path)])
+
+    def test_config_angle_not_a_number(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        setting = {"qwp1_deg": 0, "hwp_deg": "45", "qwp2_deg": 0}
+        path.write_text(json.dumps({"settings": [setting]}))
+        assert "'hwp_deg'" in _input_error(capsys, ["sweep", "--config", str(path)])
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"seed": 1}]))
+        assert "JSON object" in _input_error(capsys, ["sweep", "--config", str(path)])

@@ -226,6 +226,16 @@ class TestSift:
             sift([(LogicalState.PSI_PLUS, BasisChoice.PLUS_MINUS)], [])
 
 
+def _tally(errors, sifted, conclusive, rounds, acc, ps_in, ps_total, eighths):
+    """A valid tally from free counts: each bound counter adds to the one below it.
+    Durations sit on a grid of 1/8 s, so float sums of them are exact."""
+    sifted += errors
+    conclusive += sifted
+    return TallyCounts(rounds=rounds + conclusive, conclusive=conclusive, sifted=sifted,
+                       errors=errors, accidental_conclusive=acc, pS_sample_total=ps_in + ps_total,
+                       pS_sample_inS=ps_in, duration_s=eighths / 8)
+
+
 class TestTallyCounts:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -244,6 +254,13 @@ class TestTallyCounts:
         t = TallyCounts(rounds=2, conclusive=1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             t.conclusive = 2
+
+    @given(st.lists(st.builds(_tally, *[st.integers(0, 10**6)] * 8), min_size=3, max_size=3))
+    def test_merge_is_associative_with_zero(self, tallies):
+        a, b, c = tallies
+        assert (a + b) + c == a + (b + c)
+        assert a + TallyCounts() == a == TallyCounts() + a
+
 
 
 class TestEstimatePS:
