@@ -89,9 +89,9 @@ class DeltaParams:
 class RotatorSetting:
     """Angles (degrees) of the QWP-HWP-QWP polarization rotator."""
 
-    qwp1_deg: float
-    hwp_deg: float
-    qwp2_deg: float
+    qwp1_deg: float = 0.0
+    hwp_deg: float = 0.0
+    qwp2_deg: float = 0.0
 
     def __post_init__(self):
         for name in ("qwp1_deg", "hwp_deg", "qwp2_deg"):

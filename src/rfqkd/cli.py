@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import SCHEMES
 from .detection import NoiseConfig, simulate_session
-from .harness import DEFAULT_SEED, ExperimentConfig, _checked_fields, emit, run_sweep, selftest
+from .harness import DEFAULT_SEED, ExperimentConfig, emit, from_json, run_sweep, selftest
 from .protocol import TallyCounts
 from .security import report
 
@@ -114,7 +114,7 @@ def _cmd_keyrate(args) -> int:
         with open(args.tally, encoding="utf-8") as fh:
             payload = json.load(fh)
         data = payload.get("tally", payload) if isinstance(payload, dict) else payload
-        tally = TallyCounts(**_checked_fields(data, TallyCounts, "tally"))
+        tally = from_json(TallyCounts, data, "tally")
     except (OSError, ValueError) as exc:  # json.JSONDecodeError included
         _fail(f"bad tally file {args.tally}: {exc}")
     _print_report(tally)
@@ -122,6 +122,8 @@ def _cmd_keyrate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.seed < 0:
+        _fail(f"--seed must be nonnegative, got {args.seed}")
     return 0 if selftest(seed=args.seed) else 1
 
 

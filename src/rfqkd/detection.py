@@ -16,12 +16,12 @@ Monte Carlo and the closed-form expectations:
 * A fraction ps_sample_fraction of detections is diverted to the inside-S
   test measurement instead of producing key bits.
 
-Detected pairs are sampled as round groups (state, compensation B, effective
-rotation, phase mask, count); only the group generator depends on the
-compensation scheme.  Every group is evaluated once through the exact
-pipeline, in its own basis, and thinned binomially: conclusive, then
-inside-S test round or key round, then sifted, then wrong.  Accidentals are
-thinned the same way at fixed odds.
+Detected pairs are sampled as round groups (state, effective rotation u @ B
+with the compensation B folded in, phase mask, count); only the group
+generator depends on the compensation scheme.  Every group is evaluated
+once through the exact pipeline, in its own basis, and thinned binomially:
+conclusive, then inside-S test round or key round, then sifted, then wrong.
+Accidentals are thinned the same way at fixed odds.
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ class NoiseConfig:
     ps_sample_fraction: float = 0.1
 
     def __post_init__(self):
-        if min(self.pair_rate_hz, self.fiber_length_km, self.atten_db_per_km,
-               self.extra_loss_db, self.singles_rate_hz, self.window_ns) < 0:
-            raise ValueError("rates, lengths and the window must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in (
+                self.pair_rate_hz, self.fiber_length_km, self.atten_db_per_km,
+                self.extra_loss_db, self.singles_rate_hz, self.window_ns)):
+            raise ValueError("rates, lengths and the window must be finite and nonnegative")
         if not 0.0 < self.apparatus_efficiency <= 1.0:
             raise ValueError("apparatus_efficiency must be in (0, 1]")
         if not 0.0 <= self.source_error_prob <= 1.0:
@@ -171,32 +172,32 @@ def _thin(rng: np.random.Generator, n: int, p_conc: float, p_in: float, p_sift: 
 
 
 def _round_groups(u: CollectiveRotation, scheme: Scheme, n_det: int, rng: np.random.Generator):
-    """Detected pairs as (state, b_choice, u_eff, mask, count) round groups.
+    """Detected pairs as (state, u_eff, mask, count) round groups, u_eff = u @ B.
 
     'none' and 'flip_half' share their pairs multinomially over the 16 or
     32 equally likely configurations; 'haar' yields one group per pair with
-    a fresh Haar compensation folded into the channel.
+    a fresh Haar compensation B.
     """
     if scheme == "haar":
         states, masks = list(LogicalState), list(PhaseMask)
         for _ in range(n_det):
             state = states[rng.integers(4)]
             mask = masks[rng.integers(4)]
-            yield state, "identity", u @ haar_sample(rng), mask, 1
+            yield state, u @ haar_sample(rng), mask, 1
         return
     if scheme == "none":
-        b_choices = ("identity",)
+        rotations = (u,)
     elif scheme == "flip_half":
-        b_choices = ("identity", "flip")
+        rotations = (u, u @ CollectiveRotation.bit_flip())
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     configs = [
-        (state, b, mask) for state in LogicalState for b in b_choices for mask in PhaseMask
+        (state, u_eff, mask) for state in LogicalState for u_eff in rotations for mask in PhaseMask
     ]
     counts = rng.multinomial(n_det, np.full(len(configs), 1.0 / len(configs)))
-    for (state, b, mask), count in zip(configs, counts):
+    for (state, u_eff, mask), count in zip(configs, counts):
         if count:
-            yield state, b, u, mask, int(count)
+            yield state, u_eff, mask, int(count)
 
 
 def simulate_session(
@@ -217,7 +218,7 @@ def simulate_session(
     coincidences arrive at the accidental rate and take the same thinning
     as uniformly random detector patterns.
     """
-    if duration_s <= 0.0:
+    if not duration_s > 0.0:
         raise ValueError("duration must be positive")
     u = from_waveplates(sweep_setting)
     p_det = cfg.apparatus_efficiency * transmittance(cfg) ** 2
@@ -228,8 +229,8 @@ def simulate_session(
     n_det = int(rng.binomial(n_emit, p_det)) if n_emit > 0 else 0
 
     draws = []
-    for state, b, u_eff, mask, count in _round_groups(u, scheme, n_det, rng):
-        p_conc, blocks = conclusive_blocks(evolve(state, b, u_eff, mask), state.basis)
+    for state, u_eff, mask, count in _round_groups(u, scheme, n_det, rng):
+        p_conc, blocks = conclusive_blocks(evolve(state, "identity", u_eff, mask), state.basis)
         if not blocks:
             continue  # no coincident weight: no pair of this group is conclusive
         p_in = sum(w for label, w, _ in blocks if label == "S") / p_conc

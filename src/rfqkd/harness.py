@@ -13,9 +13,10 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,38 +27,40 @@ from .protocol import TallyCounts
 
 DEFAULT_SEED = 123456789
 
-CSV_COLUMNS = (
-    "setting_index",
-    "scheme",
-    "conclusive_rate_hz",
-    "normalized_coincidence",
-    "qber",
-    "qber_stderr",
-    "p_S",
-    "key_rate_fraction",
-)
 
+def from_json(cls, data, where: str):
+    """Build the dataclass cls from parsed JSON, checked against its fields.
 
-# types a JSON value may take for a dataclass field, keyed by the field's annotation
-_JSON_TYPES = {"int": (int,), "float": (int, float), "tuple[str, ...]": (str, list, tuple),
-               "tuple[RotatorSetting, ...]": (list, tuple)}
-
-
-def _checked_fields(data, cls, where: str) -> dict:
-    """Return data after checking that it is an object whose keys name fields
-    of cls and whose values have the JSON type those fields need."""
+    data must be an object whose keys name fields of cls.  A number must be
+    finite and of the field's type (an int field takes no float), a nested
+    dataclass is read recursively, and a tuple takes an array, or one bare
+    string for a tuple of strings.  Else a ValueError names the key."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    types = get_type_hints(cls)
     unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
-    for key, value in data.items():
-        allowed = _JSON_TYPES.get(types[key])
-        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
-            names = " or ".join(t.__name__ for t in allowed)
-            raise ValueError(f"{where} key {key!r} must be {names}, got {value!r}")
-    return data
+    return cls(**{key: _from_json_value(types[key], value, where, key)
+                  for key, value in data.items()})
+
+
+def _from_json_value(kind, value, where: str, key: str):
+    if dataclasses.is_dataclass(kind):
+        return from_json(kind, value, key)
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        if item is str and isinstance(value, str):
+            return (value,)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where} key {key!r} must be an array, got {value!r}")
+        return tuple(_from_json_value(item, v, where, key) for v in value)
+    allowed = (int, float) if kind is float else (kind,)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(f"{where} key {key!r} must be {kind.__name__}, got {value!r}")
+    if kind is not str and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{where} key {key!r} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.settings:
             raise ValueError("config needs at least one rotator setting")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        # numpy's Poisson sampler takes means up to about 9.2e18
+        rate = max(self.noise.pair_rate_hz, detection.accidental_rate(self.noise))
+        if not (self.duration_s > 0.0 and rate * self.duration_s <= 1e18):
+            raise ValueError("duration_s must be positive and finite with at most 1e18 "
+                             f"expected pairs, got {self.duration_s!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for s in self.schemes:
             if s not in channel.SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
@@ -83,34 +91,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "schemes": list(self.schemes),
-            "noise": dataclasses.asdict(self.noise),
-            "settings": [dataclasses.asdict(s) for s in self.settings],
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Build a config from its dict form; unknown keys raise ValueError."""
-        _checked_fields(data, cls, "config")
-        kwargs = {}
-        if "noise" in data:
-            kwargs["noise"] = NoiseConfig(**_checked_fields(data["noise"], NoiseConfig, "noise"))
-        if "schemes" in data:
-            schemes = data["schemes"]
-            kwargs["schemes"] = (schemes,) if isinstance(schemes, str) else tuple(schemes)
-        if "settings" in data:
-            kwargs["settings"] = tuple(
-                RotatorSetting(**_checked_fields(s, RotatorSetting, "settings"))
-                for s in data["settings"]
-            )
-        for key in ("duration_s", "seed", "mode"):
-            if key in data:
-                kwargs[key] = data[key]
-        return cls(**kwargs)
+        """Build a config from its dict form, checked by `from_json`."""
+        return from_json(cls, data, "config")
 
 
 @dataclass(frozen=True)
@@ -124,8 +110,8 @@ class SweepRow:
     p_S: float
     key_rate_fraction: float
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def _row_from_tally(index: int, scheme: str, tally: TallyCounts) -> SweepRow:
@@ -157,13 +143,11 @@ def _row_from_tally(index: int, scheme: str, tally: TallyCounts) -> SweepRow:
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """One detection session per (setting, scheme); deterministic given the seed."""
     cfg.validate()
-    streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.schemes) * len(cfg.settings))
+    streams = iter(np.random.SeedSequence(cfg.seed).spawn(len(cfg.schemes) * len(cfg.settings)))
     rows: list[SweepRow] = []
-    k = 0
     for scheme in cfg.schemes:
         for index, setting in enumerate(cfg.settings):
-            rng = np.random.default_rng(streams[k])
-            k += 1
+            rng = np.random.default_rng(next(streams))
             tally = simulate_session(cfg.noise, setting, scheme, cfg.duration_s, rng)
             rows.append(_row_from_tally(index, scheme, tally))
     max_rate = max((r.conclusive_rate_hz for r in rows), default=0.0)

@@ -19,7 +19,7 @@ this way is diagnostic only and is not revealed to the parties.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,16 +106,7 @@ class TallyCounts:
     duration_s: float = 0.0
 
     def __post_init__(self):
-        counts = (
-            self.rounds,
-            self.conclusive,
-            self.sifted,
-            self.errors,
-            self.accidental_conclusive,
-            self.pS_sample_total,
-            self.pS_sample_inS,
-        )
-        if any(c < 0 for c in counts) or self.duration_s < 0:
+        if any(not getattr(self, f.name) >= 0 for f in fields(self)):
             raise ValueError("tally counters must be nonnegative")
         if not (self.errors <= self.sifted <= self.conclusive):
             raise ValueError("tally ordering violated: errors <= sifted <= conclusive")
@@ -123,16 +114,8 @@ class TallyCounts:
             raise ValueError("pS sample counters inconsistent")
 
     def __add__(self, other: "TallyCounts") -> "TallyCounts":
-        return TallyCounts(
-            rounds=self.rounds + other.rounds,
-            conclusive=self.conclusive + other.conclusive,
-            sifted=self.sifted + other.sifted,
-            errors=self.errors + other.errors,
-            accidental_conclusive=self.accidental_conclusive + other.accidental_conclusive,
-            pS_sample_total=self.pS_sample_total + other.pS_sample_total,
-            pS_sample_inS=self.pS_sample_inS + other.pS_sample_inS,
-            duration_s=self.duration_s + other.duration_s,
-        )
+        return TallyCounts(**{f.name: getattr(self, f.name) + getattr(other, f.name)
+                              for f in fields(self)})
 
 
 # every equal-bin mode pair; arrival-time difference exactly the pair label
@@ -140,19 +123,14 @@ COINCIDENT_PAIRS = tuple(
     ((p1, b), (p2, b)) for b in range(N_BINS) for p1 in POLS for p2 in POLS
 )
 _H, _V = POLS.index("H"), POLS.index("V")
-_VCOUNT = np.zeros((2, N_BINS, 2, N_BINS), dtype=int)
-_VCOUNT[_V, :, :, :] += 1
-_VCOUNT[:, :, _V, :] += 1
-_SAME_POL = np.zeros((2, N_BINS, 2, N_BINS), dtype=bool)
-for _p in range(2):
-    _SAME_POL[_p, :, _p, :] = True
+_P1, _B1, _P2, _B2 = np.indices((2, N_BINS, 2, N_BINS))
+_SAME_POL = _P1 == _P2
+_COINCIDENT = _B1 == _B2
 
 BLOCK_LABELS = {0: "HH", 1: "S", 2: "VV"}
-_COINCIDENT = np.zeros((2, N_BINS, 2, N_BINS), dtype=bool)
-for _b in range(N_BINS):
-    _COINCIDENT[:, _b, :, _b] = True
-# coincident part of each block, keyed by label
-_BLOCK_MASKS = {label: _COINCIDENT & (_VCOUNT == n) for n, label in BLOCK_LABELS.items()}
+# coincident part of each block, keyed by label; with V at index 1, _P1 + _P2
+# is the number of V-polarized photons that labels the block
+_BLOCK_MASKS = {label: _COINCIDENT & (_P1 + _P2 == n) for n, label in BLOCK_LABELS.items()}
 
 
 def _bit0_form(photon1: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 Rounds projected outside the protected subspace S are conservatively
 granted to the eavesdropper in full, and their error rate is taken as 1/2
 (the dephased outside-S blocks produce uniformly random bits).  The key
-fraction per conclusive result is then
+fraction per sifted bit is then
 
     r = p_S - H(e_x) - p_S * H(e_x_S)
 
@@ -48,7 +48,7 @@ def bound_exS(p_S: float, e_x: float) -> float:
 
 
 def key_rate(p_S: float, e_x: float) -> float:
-    """Secret fraction per conclusive result; may be negative (caller aborts)."""
+    """Secret fraction per sifted bit; may be negative (caller aborts)."""
     return p_S - binary_entropy(e_x) - p_S * binary_entropy(bound_exS(p_S, e_x))
 
 

@@ -95,6 +95,13 @@ class TestNoiseConfigValidation:
         with pytest.raises(ValueError):
             NoiseConfig(singles_rate_hz=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["pair_rate_hz", "fiber_length_km", "atten_db_per_km",
+                                      "extra_loss_db", "singles_rate_hz", "window_ns"])
+    def test_non_finite_rate_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseConfig(**{name: value})
+
 
 class TestSimulateSession:
     def test_noiseless_identity_has_zero_qber(self):

@@ -20,6 +20,7 @@ from rfqkd.harness import (
     SweepRow,
     _row_from_tally,
     emit,
+    from_json,
     run_sweep,
     selftest,
     suite_delta_norm,
@@ -74,6 +75,12 @@ _CONFIGS = st.builds(
 )
 
 
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_ROWS = st.builds(
+    SweepRow, setting_index=st.integers(0, 10**6), scheme=st.sampled_from(SCHEMES),
+    **{name: _ANY_FLOAT for name in CSV_COLUMNS[2:]})
+
+
 class TestExperimentConfig:
     def test_defaults_valid(self):
         ExperimentConfig().validate()
@@ -125,6 +132,41 @@ class TestExperimentConfig:
         settings = [{"qwp1_deg": 0.0, "hwp_deg": 0.0, "qwp2_deg": 0.0, "qwp3_deg": 0.0}]
         with pytest.raises(ValueError, match="qwp3_deg"):
             ExperimentConfig.from_dict({"settings": settings})
+
+    def test_from_dict_fills_a_missing_angle_with_zero(self):
+        cfg = ExperimentConfig.from_dict({"settings": [{"hwp_deg": 22.5}]})
+        assert cfg.settings == (RotatorSetting(0.0, 22.5, 0.0),)
+
+    @pytest.mark.parametrize("data, key", [
+        pytest.param({"duration_s": math.nan}, "duration_s", id="nan-duration"),
+        pytest.param({"noise": {"window_ns": -math.inf}}, "window_ns", id="inf-noise"),
+        pytest.param({"settings": [{"qwp1_deg": 0.0, "hwp_deg": math.nan, "qwp2_deg": 0.0}]},
+                     "hwp_deg", id="nan-angle"),
+        pytest.param({"duration_s": 10**400}, "duration_s", id="int-beyond-float"),
+        pytest.param({"mode": 5}, "mode", id="number-for-string"),
+    ])
+    def test_from_dict_rejects_non_finite_and_mistyped_values(self, data, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, 1e16])
+    def test_unusable_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration_s"):
+            ExperimentConfig(duration_s=duration).validate()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(seed=-1).validate()
+
+
+class TestFromJson:
+    def test_reads_a_tally(self):
+        data = {"rounds": 9, "conclusive": 4, "sifted": 2, "duration_s": 1}
+        assert from_json(TallyCounts, data, "tally") == TallyCounts(**data)
+
+    def test_rejects_a_non_array_tuple(self):
+        with pytest.raises(ValueError, match="'settings' must be an array"):
+            ExperimentConfig.from_dict({"settings": {"qwp1_deg": 0.0}})
 
 
 class TestRunSweep:
@@ -246,6 +288,23 @@ class TestEmit:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit(fake_rows(1), "xml")
+
+    @given(st.lists(_ROWS, min_size=1, max_size=4))
+    def test_csv_and_json_parse_back_within_six_digits(self, rows):
+        def six(x):
+            return f"{x:.6g}"
+
+        records = list(csv.DictReader(io.StringIO(emit(rows, "csv"))))
+        objects = json.loads(emit(rows, "json"))
+        assert len(records) == len(objects) == len(rows)
+        for row, rec, obj in zip(rows, records, objects):
+            for name, want in dataclasses.asdict(row).items():
+                if not isinstance(want, float):
+                    assert (rec[name], obj[name]) == (str(want), want)
+                elif math.isfinite(want):
+                    assert six(float(rec[name])) == six(obj[name]) == six(want)
+                else:  # nan and inf: spelled out in CSV, null in JSON
+                    assert (rec[name], obj[name]) == (six(want), None)
 
 
 class TestSelftest:
@@ -409,3 +468,37 @@ class TestCliInputErrors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([{"seed": 1}]))
         assert "JSON object" in _input_error(capsys, ["sweep", "--config", str(path)])
+
+    @pytest.mark.parametrize("text, key", [
+        pytest.param('{"duration_s": NaN}', "'duration_s'", id="nan-duration"),
+        pytest.param('{"duration_s": Infinity}', "'duration_s'", id="inf-duration"),
+        pytest.param('{"noise": {"pair_rate_hz": NaN}}', "'pair_rate_hz'", id="nan-rate"),
+        pytest.param('{"settings": [{"qwp1_deg": 0, "hwp_deg": -Infinity, "qwp2_deg": 0}]}',
+                     "'hwp_deg'", id="inf-angle"),
+        pytest.param('{"seed": -2}', "seed", id="negative-seed"),
+        pytest.param('{"duration_s": 1e16}', "duration_s", id="too-many-pairs"),
+    ])
+    def test_config_value_rejected(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert key in _input_error(capsys, ["sweep", "--config", str(path)])
+
+    @pytest.mark.parametrize("text, key", [
+        pytest.param('{"rounds": NaN}', "'rounds'", id="nan-count"),
+        pytest.param('{"tally": {"duration_s": Infinity}}', "'duration_s'", id="inf-duration"),
+    ])
+    def test_tally_value_rejected(self, tmp_path, capsys, text, key):
+        path = tmp_path / "tally.json"
+        path.write_text(text)
+        assert key in _input_error(capsys, ["keyrate", str(path)])
+
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(["sweep", "--duration-scale", "nan"], "duration_s", id="nan-scale"),
+        pytest.param(["sweep", "--duration-scale", "inf"], "duration_s", id="inf-scale"),
+        pytest.param(["sweep", "--seed", "-1"], "seed", id="sweep-negative-seed"),
+        pytest.param(["single", "--seed", "-3"], "seed", id="single-negative-seed"),
+        pytest.param(["selftest", "--seed", "-1"], "--seed", id="selftest-negative-seed"),
+    ])
+    def test_flag_value_rejected(self, tmp_path, monkeypatch, capsys, argv, name):
+        monkeypatch.chdir(tmp_path)  # nothing may be written, but not into the checkout
+        assert name in _input_error(capsys, argv)

@@ -1,6 +1,7 @@
 """Round-level protocol tests: preparation, pipelines, measurement, sifting."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -249,6 +250,11 @@ class TestTallyCounts:
         c = a + b
         assert (c.rounds, c.conclusive, c.sifted, c.errors) == (12, 7, 4, 1)
         assert c.duration_s == 3.0
+
+    @pytest.mark.parametrize("field", ["rounds", "accidental_conclusive", "duration_s"])
+    def test_nan_counter_rejected(self, field):
+        with pytest.raises(ValueError, match="nonnegative"):
+            TallyCounts(**{field: math.nan})
 
     def test_frozen(self):
         t = TallyCounts(rounds=2, conclusive=1)
