@@ -24,6 +24,11 @@ Scheme = str
 SCHEMES = ("none", "flip_half", "haar")
 
 
+def su2(a, b) -> np.ndarray:
+    """The matrix [[a, -conj(b)], [b, conj(a)]], stacked over arrays a and b."""
+    return np.stack([a, -np.conj(b), b, np.conj(a)], axis=-1).reshape(np.shape(a) + (2, 2))
+
+
 @dataclass(frozen=True)
 class CollectiveRotation:
     """Special-unitary polarization rotation [[a, -conj(b)], [b, conj(a)]]."""
@@ -38,8 +43,7 @@ class CollectiveRotation:
 
     @property
     def matrix(self) -> np.ndarray:
-        a, b = complex(self.a), complex(self.b)
-        return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+        return su2(complex(self.a), complex(self.b))
 
     @classmethod
     def identity(cls) -> "CollectiveRotation":
@@ -145,6 +149,13 @@ def haar_sample(rng: np.random.Generator) -> CollectiveRotation:
     x = rng.normal(size=4)
     x = x / np.linalg.norm(x)
     return CollectiveRotation(complex(x[0], x[1]), complex(x[2], x[3]))
+
+
+def haar_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar-distributed SU(2) matrices as an (n, 2, 2) array; `haar_sample` in bulk."""
+    x = rng.normal(size=(n, 4))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return su2(x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3])
 
 
 def delta_params(u: CollectiveRotation) -> DeltaParams:

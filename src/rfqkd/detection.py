@@ -16,12 +16,10 @@ Monte Carlo and the closed-form expectations:
 * A fraction ps_sample_fraction of detections is diverted to the inside-S
   test measurement instead of producing key bits.
 
-Detected pairs are sampled as round groups (state, effective rotation u @ B
-with the compensation B folded in, phase mask, count); only the group
-generator depends on the compensation scheme.  Every group is evaluated
-once through the exact pipeline, in its own basis, and thinned binomially:
-conclusive, then inside-S test round or key round, then sifted, then wrong.
-Accidentals are thinned the same way at fixed odds.
+Detected pairs are drawn as array groups, the only step that depends on
+the compensation scheme; every group, and the accidentals as one more row,
+goes through the array engine of the protocol layer and one multinomial
+draw over the round outcomes (`simulate_session`).
 """
 
 from __future__ import annotations
@@ -31,28 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import CollectiveRotation, RotatorSetting, Scheme, from_waveplates, haar_sample
-from .protocol import (
-    LogicalState,
-    PhaseMask,
-    TallyCounts,
-    conclusive_blocks,
-    evolve,
-)
-
-__all__ = [
-    "NoiseConfig",
-    "transmittance",
-    "accidental_rate",
-    "intrinsic_error_rate",
-    "sifted_true_rate",
-    "accidental_error_contribution",
-    "expected_qber",
-    "expected_conclusive_rate",
-    "expected_sifted_rate",
-    "simulate_session",
-    "visibility_envelope",
-]
+from .channel import CollectiveRotation, RotatorSetting, Scheme, from_waveplates, haar_matrices
+from .protocol import BasisChoice, LogicalState, TallyCounts, evolve_rows, read_rows
 
 # maximum registered coincidence rate behind the source optics, short fiber
 _DEFAULT_APPARATUS_EFFICIENCY = 140.0 / 12000.0
@@ -74,10 +52,11 @@ class NoiseConfig:
     ps_sample_fraction: float = 0.1
 
     def __post_init__(self):
-        if not all(0.0 <= v < math.inf for v in (
-                self.pair_rate_hz, self.fiber_length_km, self.atten_db_per_km,
-                self.extra_loss_db, self.singles_rate_hz, self.window_ns)):
-            raise ValueError("rates, lengths and the window must be finite and nonnegative")
+        for name in ("pair_rate_hz", "fiber_length_km", "atten_db_per_km",
+                     "extra_loss_db", "singles_rate_hz", "window_ns"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {getattr(self, name)!r}")
         if not 0.0 < self.apparatus_efficiency <= 1.0:
             raise ValueError("apparatus_efficiency must be in (0, 1]")
         if not 0.0 <= self.source_error_prob <= 1.0:
@@ -152,52 +131,64 @@ def expected_sifted_rate(cfg: NoiseConfig, survival: float) -> float:
     )
 
 
-def _clip01(p: float) -> float:
-    return min(max(float(p), 0.0), 1.0)
-
-
-def _thin(rng: np.random.Generator, n: int, p_conc: float, p_in: float, p_sift: float,
-          p_err: float, f_test: float) -> tuple[int, int, int, int, int]:
-    """Thin n detected pairs into (conclusive, test, test inside S, sifted, errors).
-
-    A pair is conclusive with p_conc; a conclusive pair is a test round with
-    f_test, and then inside S with p_in, or else a key round, sifted with
-    p_sift and then wrong with p_err.
-    """
-    conclusive = int(rng.binomial(n, _clip01(p_conc)))
-    test = int(rng.binomial(conclusive, f_test))
-    test_in = int(rng.binomial(test, _clip01(p_in)))
-    sifted = int(rng.binomial(conclusive - test, p_sift))
-    return conclusive, test, test_in, sifted, int(rng.binomial(sifted, _clip01(p_err)))
+# Haar-compensated pairs evaluated per group: memory stays flat in the session length
+_HAAR_BLOCK = 256
+_KEY_BITS = np.array([l.key_bit for l in LogicalState])
+_BASIS_INDEX = np.array([list(BasisChoice).index(l.basis) for l in LogicalState])
+# an accidental as P(block, decoded bit): a uniformly random detector pattern,
+# inside S with 1/2 and either bit with 1/2
+_ACCIDENTAL = np.array([[[0.125, 0.125], [0.25, 0.25], [0.125, 0.125]]])
 
 
 def _round_groups(u: CollectiveRotation, scheme: Scheme, n_det: int, rng: np.random.Generator):
-    """Detected pairs as (state, u_eff, mask, count) round groups, u_eff = u @ B.
+    """Detected pairs as array groups (states, u_eff, masks, counts), u_eff = u @ B.
 
-    'none' and 'flip_half' share their pairs multinomially over the 16 or
-    32 equally likely configurations; 'haar' yields one group per pair with
-    a fresh Haar compensation B.
+    States and masks index LogicalState and PhaseMask.  'none' and
+    'flip_half' give one group of their 16 or 32 equally likely
+    configurations, sharing the pairs multinomially; 'haar' gives one row
+    per pair, with a fresh Haar B, in groups of at most _HAAR_BLOCK rows.
     """
     if scheme == "haar":
-        states, masks = list(LogicalState), list(PhaseMask)
-        for _ in range(n_det):
-            state = states[rng.integers(4)]
-            mask = masks[rng.integers(4)]
-            yield state, u @ haar_sample(rng), mask, 1
+        for start in range(0, n_det, _HAAR_BLOCK):
+            n = min(_HAAR_BLOCK, n_det - start)
+            u_eff = np.einsum("ij,njk->nik", u.matrix, haar_matrices(rng, n))
+            yield rng.integers(4, size=n), u_eff, rng.integers(4, size=n), np.ones(n, dtype=int)
         return
     if scheme == "none":
-        rotations = (u,)
+        rotations = [u.matrix]
     elif scheme == "flip_half":
-        rotations = (u, u @ CollectiveRotation.bit_flip())
+        rotations = [u.matrix, (u @ CollectiveRotation.bit_flip()).matrix]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    configs = [
-        (state, u_eff, mask) for state in LogicalState for u_eff in rotations for mask in PhaseMask
-    ]
-    counts = rng.multinomial(n_det, np.full(len(configs), 1.0 / len(configs)))
-    for (state, u_eff, mask), count in zip(configs, counts):
-        if count:
-            yield state, u_eff, mask, int(count)
+    states, k, masks = np.indices((4, len(rotations), 4)).reshape(3, -1)
+    counts = rng.multinomial(n_det, np.full(len(states), 1.0 / len(states)))
+    yield states, np.array(rotations)[k], masks, counts
+
+
+def _sort(rng: np.random.Generator, counts: np.ndarray, joint: np.ndarray,
+          key_bits: np.ndarray, p_sift: float, cfg: NoiseConfig) -> np.ndarray:
+    """Sort each row's pairs over six outcomes by one multinomial draw.
+
+    joint[n] is row n's P(block, decoded bit) (`read_rows`).  The outcomes
+    are test inside S, test outside S, unsifted key, sifted right, sifted
+    wrong and not conclusive: a conclusive pair is a test round with
+    ps_sample_fraction, else a key round sifted with p_sift, and a sifted
+    bit flips with the intrinsic error rate.  The odds are products of
+    weights, so none is negative and a row with no coincident weight needs
+    no guard.  Returns the counts of the five conclusive outcomes.
+    """
+    f, e = cfg.ps_sample_fraction, intrinsic_error_rate(cfg)
+    w = joint.sum(axis=2)
+    bits = joint.sum(axis=1).T
+    right, wrong = np.where(key_bits == 0, bits, bits[::-1])
+    key = 1.0 - f
+    odds = np.stack([
+        f * w[:, 1], f * (w[:, 0] + w[:, 2]), key * (1.0 - p_sift) * w.sum(axis=1),
+        key * p_sift * (right * (1.0 - e) + wrong * e),
+        key * p_sift * (wrong * (1.0 - e) + right * e),
+        np.zeros(len(w)),  # numpy gives the last outcome the remaining odds
+    ], axis=1)
+    return rng.multinomial(counts, odds)[:, :5].sum(axis=0)
 
 
 def simulate_session(
@@ -210,47 +201,39 @@ def simulate_session(
     """Monte Carlo session at one rotator setting.
 
     Emitted pairs are Poisson at the pair rate, thinned by the pair
-    transmittance and apparatus efficiency.  Each round group of detected
-    pairs is pushed once through the exact protocol pipeline and read in
-    its own basis; its pairs are then thinned binomially at the Born
-    probabilities: conclusive, then inside-S test round or key round, then
-    sifted (Bob's basis matches with 1/2), then wrong.  Accidental
-    coincidences arrive at the accidental rate and take the same thinning
-    as uniformly random detector patterns.
+    transmittance and apparatus efficiency.  Each array group of detected
+    pairs goes once through the exact pipeline (`evolve_rows`), is read in
+    each row's own basis (`read_rows`) and is sorted by one multinomial
+    draw: test round inside or outside S, unsifted key round, sifted right
+    or wrong (Bob's basis matches with 1/2), or not conclusive.
+    Accidental coincidences arrive at the accidental rate and are sorted as
+    one more row, a uniformly random detector pattern that is never sifted
+    away.
     """
     if not duration_s > 0.0:
         raise ValueError("duration must be positive")
     u = from_waveplates(sweep_setting)
     p_det = cfg.apparatus_efficiency * transmittance(cfg) ** 2
-    flip_p = intrinsic_error_rate(cfg)
-    f_test = cfg.ps_sample_fraction
 
     n_emit = int(rng.poisson(cfg.pair_rate_hz * duration_s))
+    n_acc = int(rng.poisson(accidental_rate(cfg) * duration_s))
     n_det = int(rng.binomial(n_emit, p_det)) if n_emit > 0 else 0
 
-    draws = []
-    for state, u_eff, mask, count in _round_groups(u, scheme, n_det, rng):
-        p_conc, blocks = conclusive_blocks(evolve(state, "identity", u_eff, mask), state.basis)
-        if not blocks:
-            continue  # no coincident weight: no pair of this group is conclusive
-        p_in = sum(w for label, w, _ in blocks if label == "S") / p_conc
-        p_right = sum(w * (p0 if state.key_bit == 0 else 1.0 - p0) for _, w, p0 in blocks) / p_conc
-        p_err = (1.0 - p_right) * (1.0 - flip_p) + p_right * flip_p
-        draws.append(_thin(rng, count, p_conc, p_in, 0.5, p_err, f_test))
-
-    # accidentals: conclusive, inside S with 1/2, never sifted away, right with 1/2
-    n_acc = int(rng.poisson(accidental_rate(cfg) * duration_s))
-    draws.append(_thin(rng, n_acc, 1.0, 0.5, 1.0, 0.5, f_test))
-    conclusive, ps_total, ps_in, sifted, errors = (sum(col) for col in zip(*draws))
+    outcomes = np.zeros(5, dtype=np.int64)
+    for states, u_eff, masks, counts in _round_groups(u, scheme, n_det, rng):
+        joint = read_rows(evolve_rows(states, u_eff, masks), _BASIS_INDEX[states])
+        outcomes += _sort(rng, counts, joint, _KEY_BITS[states], 0.5, cfg)
+    outcomes += _sort(rng, np.array([n_acc]), _ACCIDENTAL, np.zeros(1, dtype=int), 1.0, cfg)
+    test_in, test_out, unsifted, right, wrong = (int(n) for n in outcomes)
 
     return TallyCounts(
         rounds=n_emit + n_acc,
-        conclusive=conclusive,
-        sifted=sifted,
-        errors=errors,
+        conclusive=test_in + test_out + unsifted + right + wrong,
+        sifted=right + wrong,
+        errors=wrong,
         accidental_conclusive=n_acc,
-        pS_sample_total=ps_total,
-        pS_sample_inS=ps_in,
+        pS_sample_total=test_in + test_out,
+        pS_sample_inS=test_in,
         duration_s=duration_s,
     )
 

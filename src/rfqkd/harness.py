@@ -248,7 +248,7 @@ def suite_expansion(rng, n=100):
     for _ in range(n):
         u = channel.haar_sample(rng)
         for state in protocol.LogicalState:
-            dev = np.max(np.abs(protocol.evolve(state, "identity", u).amplitudes
+            dev = np.max(np.abs(protocol.evolve(state, u).amplitudes
                                 - four_term_expansion(u, *state.alpha_beta)))
             worst = max(worst, float(dev))
     return worst <= 1e-10, f"max coefficient deviation = {worst:.3e}"
@@ -261,7 +261,7 @@ def suite_dfs(rng, n=50):
         u = channel.haar_sample(rng)
         for state in protocol.LogicalState:
             alpha, beta = state.alpha_beta
-            evolved = protocol.evolve(state, "identity", u)
+            evolved = protocol.evolve(state, u)
             kept, prob = hilbert.project(evolved, protocol.COINCIDENT_PAIRS)
             if prob < 1e-6:
                 continue  # survival can vanish at isolated rotations
@@ -310,7 +310,7 @@ def suite_oracle(rng, n=100):
     worst = 0.0
     for _ in range(n):
         u = channel.haar_sample(rng)
-        evolved = protocol.evolve(protocol.LogicalState.PSI_PLUS, "identity", u)
+        evolved = protocol.evolve(protocol.LogicalState.PSI_PLUS, u)
         _, prob = hilbert.project(evolved, protocol.COINCIDENT_PAIRS)
         worst = max(worst, abs(prob - channel.survival_probability(u)))
         avg = channel.randomized_survival(u, "flip_half")

@@ -261,8 +261,6 @@ def density_average(states: Sequence[tuple[PairDensity, float]]) -> PairDensity:
     for rho, w in states:
         if w < 0.0:
             raise ValueError(f"negative weight {w!r}")
-        if rho.matrix.shape != (DIM, DIM):
-            raise ValueError("density dimension mismatch")
         acc += w * rho.matrix
         total += w
     if total > 1.0 + NORM_TOL:

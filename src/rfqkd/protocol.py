@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import CollectiveRotation
-from .hilbert import N_BINS, POLS, PairState, apply_pol_unitary, tag
+from .hilbert import N_BINS, POLS, PairState, apply_pol_unitary, pure_state, tag
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * _SQRT_HALF
@@ -106,12 +106,13 @@ class TallyCounts:
     duration_s: float = 0.0
 
     def __post_init__(self):
-        if any(not getattr(self, f.name) >= 0 for f in fields(self)):
-            raise ValueError("tally counters must be nonnegative")
-        if not (self.errors <= self.sifted <= self.conclusive):
-            raise ValueError("tally ordering violated: errors <= sifted <= conclusive")
-        if self.pS_sample_inS > self.pS_sample_total:
-            raise ValueError("pS sample counters inconsistent")
+        negative = [f.name for f in fields(self) if not getattr(self, f.name) >= 0]
+        if negative:
+            raise ValueError(f"tally counters must be nonnegative: {', '.join(negative)}")
+        for low, high in (("errors", "sifted"), ("sifted", "conclusive"),
+                          ("pS_sample_inS", "pS_sample_total")):
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(f"tally counter {low!r} exceeds {high!r}")
 
     def __add__(self, other: "TallyCounts") -> "TallyCounts":
         return TallyCounts(**{f.name: getattr(self, f.name) + getattr(other, f.name)
@@ -122,39 +123,30 @@ class TallyCounts:
 COINCIDENT_PAIRS = tuple(
     ((p1, b), (p2, b)) for b in range(N_BINS) for p1 in POLS for p2 in POLS
 )
-_H, _V = POLS.index("H"), POLS.index("V")
-_P1, _B1, _P2, _B2 = np.indices((2, N_BINS, 2, N_BINS))
-_SAME_POL = _P1 == _P2
-_COINCIDENT = _B1 == _B2
+_H = POLS.index("H")
 
+# blocks of the coincident sector by their number of V-polarized photons;
+# with V at index 1 that is the sum of the two polarization indices
 BLOCK_LABELS = {0: "HH", 1: "S", 2: "VV"}
-# coincident part of each block, keyed by label; with V at index 1, _P1 + _P2
-# is the number of V-polarized photons that labels the block
-_BLOCK_MASKS = {label: _COINCIDENT & (_P1 + _P2 == n) for n, label in BLOCK_LABELS.items()}
+_BLOCKS = np.array([np.add.outer(range(2), range(2)) == n for n in BLOCK_LABELS])
+# (same, different) polarization of the two photons: decoded bit 0 or 1
+_BITS = np.moveaxis(np.array([np.eye(2), 1.0 - np.eye(2)]), 0, -1)
+_STATES, _BASES = tuple(LogicalState), tuple(BasisChoice)
+# the readout on (pol1, pol2) per basis: the basis transform on photon 1,
+# then the Hadamard on both photons
+_READOUT = np.array([
+    np.einsum("ip,jq->ijpq", HADAMARD @ t, HADAMARD)
+    for t in (np.eye(2), _BASIS_I_TRANSFORM)  # in _BASES order
+])
+# phase factor of a two-photon mask on each (pol1, pol2), by mask index
+_MASK_PHASES = np.array([np.outer(np.diag(m.matrix), np.diag(m.matrix)) for m in PhaseMask])
 
 
-def _bit0_form(photon1: np.ndarray) -> np.ndarray:
-    """Hermitian F with P(bit 0) = <x|F|x>: the transform photon1 on photon 1,
-    the Hadamard on both photons, then the same-polarization weight."""
-    eye = np.eye(N_BINS)
-    m = np.kron(np.kron(HADAMARD @ photon1, eye), np.kron(HADAMARD, eye))
-    return m.conj().T @ (_SAME_POL.reshape(-1, 1) * m)
-
-
-_BIT0_FORMS = {
-    BasisChoice.PLUS_MINUS: _bit0_form(np.eye(2)),
-    BasisChoice.PLUS_MINUS_I: _bit0_form(_BASIS_I_TRANSFORM),
-}
-
-
-def _prepared_state(l: LogicalState) -> PairState:
-    # rescaled because alpha_beta's rounded 1/sqrt(2) leaves the norm 2 ulp short
-    amps = np.zeros((2, N_BINS, 2, N_BINS), dtype=complex)
-    amps[_H, 0, _V, 0], amps[_V, 0, _H, 0] = l.alpha_beta
-    return PairState(amps).normalized()
-
-
-_PREPARED = {l: _prepared_state(l) for l in LogicalState}
+# pure_state rescales: alpha_beta's rounded 1/sqrt(2) leaves the norm 2 ulp short
+_PREPARED = {l: pure_state(zip(((("H", 0), ("V", 0)), (("V", 0), ("H", 0))), l.alpha_beta))
+             for l in LogicalState}
+# Alice's tag of V on each prepared state: the fixed start of every round
+_TAGGED = np.array([tag(_PREPARED[l], "V").amplitudes for l in _STATES])
 
 
 def prepare(l: LogicalState) -> PairState:
@@ -178,35 +170,54 @@ def bob_pipeline(s: PairState, mask: PhaseMask) -> PairState:
     return tag(out, "H")
 
 
-def evolve(
-    l: LogicalState, b_choice: str, u: CollectiveRotation, mask: PhaseMask = PhaseMask.ZERO
-) -> PairState:
-    """One honest round up to detection: prepare, Alice's pipeline, Bob's pipeline."""
-    return bob_pipeline(alice_pipeline(prepare(l), b_choice, u), mask)
+def evolve_rows(states: np.ndarray, u: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """N honest rounds up to detection, as an (N, 2, 3, 2, 3) amplitude array.
+
+    Row n is the prepared state states[n] (an index into LogicalState) with
+    Alice's tag of V, the 2x2 unitary u[n] on both photons (the channel with
+    any compensation B folded in, u @ B), the phase mask masks[n] (an index
+    into PhaseMask) and Bob's tag of H.  Unlike the PairState pipelines it
+    checks nothing per row: its inputs are built, not read.
+    """
+    z = np.einsum("nij,njblc->niblc", u, _TAGGED[states])
+    z = np.einsum("nkl,niblc->nibkc", u, z)
+    z *= _MASK_PHASES[masks][:, :, None, :, None]
+    # bin 2 is still empty before Bob's tag, so rolling the H bins by one is the delay
+    z[:, _H] = np.roll(z[:, _H], 1, axis=1)
+    z[:, :, :, _H] = np.roll(z[:, :, :, _H], 1, axis=3)
+    return z
+
+
+def read_rows(amps: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """P(block and decoded bit) of N rounds, as an (N, 3, 2) array.
+
+    This is the one place block weights and bit odds are computed.  The
+    blocks HH, S, VV (BLOCK_LABELS order) are the mask-dephased sectors of
+    the 12 coincident amplitudes, so each is read on its own: through row
+    n's basis bases[n] (an index into BasisChoice) and the Hadamard pair,
+    with same polarization decoded as bit 0.  Every entry is a sum of
+    squared moduli, hence nonnegative; summed over bits they are the block
+    weights, and over everything the coincidence probability.
+    """
+    c = np.diagonal(amps, axis1=2, axis2=4)  # (N, pol1, pol2, bin)
+    out = np.einsum("nijpq,kpq,npqb->nkijb", _READOUT[bases], _BLOCKS, c)
+    return np.einsum("nkijb,ijt->nkt", np.abs(out) ** 2, _BITS)
+
+
+def evolve(l: LogicalState, u: CollectiveRotation, mask: PhaseMask = PhaseMask.ZERO) -> PairState:
+    """One honest round up to detection, through the engine sessions run."""
+    row = evolve_rows(np.array([_STATES.index(l)]), u.matrix[None], np.array([mask.value]))
+    return PairState(row[0])
 
 
 def coincident_split(s: PairState) -> tuple[float, dict[str, float]]:
     """Coincidence probability and its split over the S / HH / VV blocks.
 
-    Weights are absolute (they sum to the coincidence probability).  The
-    blocks are the mask-dephased sectors of the coincident part, labeled by
-    the number of V-polarized photons.  This is the one place block weights
-    are computed.
+    Weights are absolute (they sum to the coincidence probability); only
+    nonzero blocks are listed.  The weights are read by `read_rows`.
     """
-    amps = s.amplitudes
-    p_conc = float(np.sum(np.abs(np.where(_COINCIDENT, amps, 0.0)) ** 2))
-    weights: dict[str, float] = {}
-    for label, mask in _BLOCK_MASKS.items():
-        w = float(np.sum(np.abs(np.where(mask, amps, 0.0)) ** 2))
-        if w > 0.0:
-            weights[label] = w
-    return p_conc, weights
-
-
-def _bit0_probability(block_amps: np.ndarray, basis: BasisChoice) -> float:
-    """P(same polarization) after the basis transform and the Hadamard pair."""
-    x = block_amps.reshape(-1)
-    return float(np.vdot(x, _BIT0_FORMS[basis] @ x).real)
+    p_conc, blocks = conclusive_blocks(s, BasisChoice.PLUS_MINUS)
+    return p_conc, {label: w for label, w, _ in blocks}
 
 
 def conclusive_blocks(
@@ -214,17 +225,13 @@ def conclusive_blocks(
 ) -> tuple[float, list[tuple[str, float, float]]]:
     """Exact round statistics: coincidence probability and per-block bit odds.
 
-    Returns (p_conclusive, blocks) where each block is a tuple of
-    (label, absolute weight, P(bit = 0 | that block)).
+    Returns (p_conclusive, blocks) where each nonzero block is a tuple of
+    (label, absolute weight, P(bit = 0 | that block)), read by `read_rows`.
     """
-    p_conc, weights = coincident_split(s)
-    if p_conc <= 0.0:
-        return 0.0, []
-    return p_conc, [
-        (label, w, _bit0_probability(
-            np.where(_BLOCK_MASKS[label], s.amplitudes, 0.0) / np.sqrt(w), basis))
-        for label, w in weights.items()
-    ]
+    (joint,) = read_rows(s.amplitudes[None], np.array([_BASES.index(basis)]))
+    w = joint.sum(axis=1)
+    return float(w.sum()), [(BLOCK_LABELS[k], float(w[k]), float(joint[k, 0] / w[k]))
+                            for k in BLOCK_LABELS if w[k] > 0.0]
 
 
 def measure(s: PairState, basis: BasisChoice, rng: np.random.Generator) -> RoundOutcome:

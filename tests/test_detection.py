@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,3 +278,28 @@ class TestExpectedRates:
         cfg = NoiseConfig.one_km(ps_sample_fraction=0.5)
         full = expected_sifted_rate(dataclasses.replace(cfg, ps_sample_fraction=0.0), 1.0)
         assert abs(expected_sifted_rate(cfg, 1.0) - 0.5 * full) < 1e-12
+
+
+def _traced_peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSessionMemory:
+    def test_haar_session_memory_does_not_grow_with_duration(self):
+        # haar pairs are evaluated in bounded groups: a 150 s session at 4 m
+        # (about 21k detected pairs) peaks no higher than a 15 s one
+        cfg = NoiseConfig.four_meter()
+
+        def session(duration):
+            return lambda: simulate_session(cfg, SETTINGS[1], "haar", duration,
+                                            np.random.default_rng(11))
+
+        session(1.0)()  # one-time allocations of the first call are not the session's
+        short, long = _traced_peak_bytes(session(15.0)), _traced_peak_bytes(session(150.0))
+        assert long < 2_000_000
+        assert long <= 1.5 * short

@@ -24,8 +24,11 @@ from rfqkd.protocol import (
     coincident_split,
     conclusive_blocks,
     estimate_pS,
+    evolve,
+    evolve_rows,
     measure,
     prepare,
+    read_rows,
     sift,
 )
 
@@ -390,3 +393,39 @@ class TestLocalRotationsStayInS:
                 p_conc, weights = coincident_split(bob_pipeline(rotated, mask))
                 assert set(weights) <= {"S"}
                 assert weights.get("S", 0.0) == pytest.approx(p_conc, abs=1e-12)
+
+
+# every (state, mask) pair as engine rows, each read in both bases
+_ROW_STATES, _ROW_MASKS = np.indices((4, 4)).reshape(2, -1)
+
+
+class TestArrayEngineMatchesScalarChain:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "flip"]))
+    def test_rows_match_chain_amplitudes_and_reads(self, seed, b_choice):
+        # the compensation B is folded into the engine's rotation as U @ B
+        u = haar_sample(np.random.default_rng(seed))
+        u_eff = u.matrix @ (FLIP.matrix if b_choice == "flip" else np.eye(2))
+        rows = evolve_rows(_ROW_STATES, np.broadcast_to(u_eff, (16, 2, 2)), _ROW_MASKS)
+        for b, basis in enumerate(BasisChoice):
+            joint = read_rows(rows, np.full(16, b))
+            for n, (state, mask) in enumerate(zip(_ROW_STATES, _ROW_MASKS)):
+                chain = evolved(list(LogicalState)[state], b_choice, u, list(PhaseMask)[mask])
+                assert np.max(np.abs(rows[n] - chain.amplitudes)) <= 1e-12
+                p_conc, blocks = conclusive_blocks(chain, basis)
+                weights = joint[n].sum(axis=1)
+                assert weights.sum() == pytest.approx(p_conc, abs=1e-12)
+                read = {label: (w, p0) for label, w, p0 in blocks}
+                for k, label in enumerate(("HH", "S", "VV")):
+                    w, p0 = read.get(label, (0.0, 0.0))
+                    assert weights[k] == pytest.approx(w, abs=1e-12)
+                    assert joint[n, k, 0] == pytest.approx(w * p0, abs=1e-12)
+                    block = np.where(_BLOCK_REFERENCE[label], chain.amplitudes, 0.0)
+                    assert weights[k] == pytest.approx(np.sum(np.abs(block) ** 2), abs=1e-12)
+
+    def test_evolve_is_one_engine_row(self):
+        u = haar_sample(np.random.default_rng(3))
+        for state in LogicalState:
+            for mask in PhaseMask:
+                engine = evolve(state, u, mask).amplitudes
+                assert np.max(np.abs(engine - evolved(state, u=u, mask=mask).amplitudes)) <= 1e-12
