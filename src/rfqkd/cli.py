@@ -68,7 +68,10 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     rows = run_sweep(cfg)
     path = args.out or "sweep_results." + args.format
-    emit(rows, format=args.format, path=path, config=cfg)
+    try:
+        emit(rows, format=args.format, path=path, config=cfg)
+    except OSError as exc:
+        _fail(f"cannot write output: {exc}")
     _print_rows(rows)
     print(f"wrote {path}")
     return 0
@@ -87,9 +90,12 @@ def _cmd_single(args) -> int:
     payload = {"config": cfg.to_dict(), "setting_index": args.setting,
                "scheme": scheme, "tally": dataclasses.asdict(tally)}
     path = args.out or "session_tally.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        _fail(f"cannot write output: {exc}")
     print(f"setting {args.setting} scheme {scheme}: "
           f"{tally.conclusive} conclusive, {tally.sifted} sifted, {tally.errors} errors")
     _print_report(tally)

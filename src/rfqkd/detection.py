@@ -138,10 +138,13 @@ _BASIS_INDEX = np.array([list(BasisChoice).index(l.basis) for l in LogicalState]
 # an accidental as P(block, decoded bit): a uniformly random detector pattern,
 # inside S with 1/2 and either bit with 1/2
 _ACCIDENTAL = np.array([[[0.125, 0.125], [0.25, 0.25], [0.125, 0.125]]])
+# the compensations B of the fixed schemes, each given to an equal share of the pairs
+_COMPENSATIONS = {"none": np.eye(2)[None],
+                  "flip_half": np.array([np.eye(2), CollectiveRotation.bit_flip().matrix])}
 
 
-def _round_groups(u: CollectiveRotation, scheme: Scheme, n_det: int, rng: np.random.Generator):
-    """Detected pairs as array groups (states, u_eff, masks, counts), u_eff = u @ B.
+def _round_groups(scheme: Scheme, n_det: int, rng: np.random.Generator):
+    """Detected pairs as array groups (states, B, masks, counts).
 
     States and masks index LogicalState and PhaseMask.  'none' and
     'flip_half' give one group of their 16 or 32 equally likely
@@ -151,18 +154,15 @@ def _round_groups(u: CollectiveRotation, scheme: Scheme, n_det: int, rng: np.ran
     if scheme == "haar":
         for start in range(0, n_det, _HAAR_BLOCK):
             n = min(_HAAR_BLOCK, n_det - start)
-            u_eff = np.einsum("ij,njk->nik", u.matrix, haar_matrices(rng, n))
-            yield rng.integers(4, size=n), u_eff, rng.integers(4, size=n), np.ones(n, dtype=int)
+            b = haar_matrices(rng, n)  # drawn ahead of the states and masks
+            yield rng.integers(4, size=n), b, rng.integers(4, size=n), np.ones(n, dtype=int)
         return
-    if scheme == "none":
-        rotations = [u.matrix]
-    elif scheme == "flip_half":
-        rotations = [u.matrix, (u @ CollectiveRotation.bit_flip()).matrix]
-    else:
+    if scheme not in _COMPENSATIONS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    states, k, masks = np.indices((4, len(rotations), 4)).reshape(3, -1)
+    b = _COMPENSATIONS[scheme]
+    states, k, masks = np.indices((4, len(b), 4)).reshape(3, -1)
     counts = rng.multinomial(n_det, np.full(len(states), 1.0 / len(states)))
-    yield states, np.array(rotations)[k], masks, counts
+    yield states, b[k], masks, counts
 
 
 def _sort(rng: np.random.Generator, counts: np.ndarray, joint: np.ndarray,
@@ -217,10 +217,11 @@ def simulate_session(
 
     n_emit = int(rng.poisson(cfg.pair_rate_hz * duration_s))
     n_acc = int(rng.poisson(accidental_rate(cfg) * duration_s))
-    n_det = int(rng.binomial(n_emit, p_det)) if n_emit > 0 else 0
+    n_det = int(rng.binomial(n_emit, p_det))
 
     outcomes = np.zeros(5, dtype=np.int64)
-    for states, u_eff, masks, counts in _round_groups(u, scheme, n_det, rng):
+    for states, b, masks, counts in _round_groups(scheme, n_det, rng):
+        u_eff = np.einsum("ij,njk->nik", u.matrix, b)  # the channel after each B
         joint = read_rows(evolve_rows(states, u_eff, masks), _BASIS_INDEX[states])
         outcomes += _sort(rng, counts, joint, _KEY_BITS[states], 0.5, cfg)
     outcomes += _sort(rng, np.array([n_acc]), _ACCIDENTAL, np.zeros(1, dtype=int), 1.0, cfg)

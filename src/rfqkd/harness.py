@@ -84,6 +84,8 @@ class ExperimentConfig:
                              f"expected pairs, got {self.duration_s!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not self.schemes:
+            raise ValueError("config needs at least one compensation scheme")
         for s in self.schemes:
             if s not in channel.SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
@@ -228,17 +230,16 @@ def four_term_expansion(u: channel.CollectiveRotation, alpha: complex, beta: com
     closed-form four-term expansion (independent of the state pipeline)."""
     c_keep, c_double, c_hh, c_vv = channel.delta_params(u).expansion_coefficients()
     amps = np.zeros((2, 3, 2, 3), dtype=complex)
+    H, V = 0, 1  # polarization indices (hilbert.POLS)
     terms = [
-        (c_keep, ("H", 1), ("V", 1), ("V", 1), ("H", 1)),
-        (c_double, ("V", 0), ("H", 2), ("H", 2), ("V", 0)),
-        (c_hh, ("H", 1), ("H", 2), ("H", 2), ("H", 1)),
-        (c_vv, ("V", 0), ("V", 1), ("V", 1), ("V", 0)),
+        (c_keep, (H, 1, V, 1), (V, 1, H, 1)),
+        (c_double, (V, 0, H, 2), (H, 2, V, 0)),
+        (c_hh, (H, 1, H, 2), (H, 2, H, 1)),
+        (c_vv, (V, 0, V, 1), (V, 1, V, 0)),
     ]
-    for coeff, m1a, m2a, m1b, m2b in terms:
-        i = hilbert.PhotonMode.parse(m1a).index + hilbert.PhotonMode.parse(m2a).index
-        amps[i[0], i[1], i[2], i[3]] += coeff * alpha
-        j = hilbert.PhotonMode.parse(m1b).index + hilbert.PhotonMode.parse(m2b).index
-        amps[j[0], j[1], j[2], j[3]] += coeff * beta
+    for coeff, alpha_mode, beta_mode in terms:
+        amps[alpha_mode] += coeff * alpha
+        amps[beta_mode] += coeff * beta
     return amps
 
 

@@ -55,9 +55,6 @@ class PhotonMode:
     def index(self) -> tuple[int, int]:
         return POLS.index(self.pol), self.bin
 
-    def __str__(self) -> str:
-        return f"{self.pol}{self.bin}"
-
 
 ModeLike = Union[PhotonMode, str, tuple]
 ModePair = tuple[ModeLike, ModeLike]
@@ -66,11 +63,7 @@ NormKind = Literal["normalized", "subnormalized"]
 
 
 def _pair_index(pair: ModePair) -> tuple[int, int, int, int]:
-    m1 = PhotonMode.parse(pair[0])
-    m2 = PhotonMode.parse(pair[1])
-    p1, b1 = m1.index
-    p2, b2 = m2.index
-    return p1, b1, p2, b2
+    return PhotonMode.parse(pair[0]).index + PhotonMode.parse(pair[1]).index
 
 
 @dataclass(frozen=True)
@@ -124,10 +117,7 @@ def pure_state(assignments: Mapping[ModePair, complex] | Iterable[tuple[ModePair
 
     Raises ValueError if every assigned amplitude is zero.
     """
-    if isinstance(assignments, Mapping):
-        items = assignments.items()
-    else:
-        items = list(assignments)
+    items = assignments.items() if isinstance(assignments, Mapping) else assignments
     amps = np.zeros((2, N_BINS, 2, N_BINS), dtype=complex)
     for pair, value in items:
         amps[_pair_index(pair)] = value

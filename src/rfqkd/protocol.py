@@ -10,10 +10,10 @@ different-polarization -> bit 1 after the basis transform.
 
 Within the coincident sector the phase-mask average leaves no coherence
 between the different-polarization subspace S and the HH / VV remainder,
-so a round may be sampled as landing inside or outside S first and then
-measured inside its block; the resulting statistics are identical to direct
-Born sampling for any mask-uniform ensemble.  The inside_S flag produced
-this way is diagnostic only and is not revealed to the parties.
+so each block is read on its own: one table P(block, decoded bit) per round
+(`read_rows`) holds all a round can show, and one uniform draw over its
+cells samples the round, as direct Born sampling would for any mask-uniform
+ensemble.  The inside_S flag is diagnostic only, never revealed to the parties.
 """
 
 from __future__ import annotations
@@ -214,10 +214,10 @@ def coincident_split(s: PairState) -> tuple[float, dict[str, float]]:
     """Coincidence probability and its split over the S / HH / VV blocks.
 
     Weights are absolute (they sum to the coincidence probability); only
-    nonzero blocks are listed.  The weights are read by `read_rows`.
+    nonzero blocks are listed.  `read_rows` gives them in any basis.
     """
-    p_conc, blocks = conclusive_blocks(s, BasisChoice.PLUS_MINUS)
-    return p_conc, {label: w for label, w, _ in blocks}
+    w = read_rows(s.amplitudes[None], np.zeros(1, dtype=int))[0].sum(axis=1)
+    return float(w.sum()), {BLOCK_LABELS[k]: float(w[k]) for k in BLOCK_LABELS if w[k] > 0.0}
 
 
 def conclusive_blocks(
@@ -237,18 +237,18 @@ def conclusive_blocks(
 def measure(s: PairState, basis: BasisChoice, rng: np.random.Generator) -> RoundOutcome:
     """Sample one post-selected measurement of a post-tag state.
 
-    Conclusive means both photons fall in the equal-bin coincident sector;
-    the splitting success at the output beam splitter is an apparatus
-    efficiency handled by the detection layer, not resampled here.
+    One uniform draw picks a cell of the `read_rows` table P(block, bit) in
+    C order, or no coincidence past the last cell; a zero-weight cell is
+    never picked.  The output beam splitter's success is an apparatus
+    efficiency of the detection layer, not drawn here.
     """
-    p_conc, blocks = conclusive_blocks(s, basis)
-    if rng.random() >= p_conc:
+    (joint,) = read_rows(s.amplitudes[None], np.array([_BASES.index(basis)]))
+    cell = int(np.searchsorted(np.cumsum(joint), rng.random(), side="right"))
+    if cell == joint.size:
         return RoundOutcome(conclusive=False, bit=None, basis_used=basis)
-    weights = np.array([b[1] for b in blocks])
-    idx = rng.choice(len(blocks), p=weights / weights.sum())
-    label, _, p_bit0 = blocks[idx]
-    bit = 0 if rng.random() < p_bit0 else 1
-    return RoundOutcome(conclusive=True, bit=bit, basis_used=basis, inside_S=label == "S")
+    block, bit = divmod(cell, 2)
+    return RoundOutcome(conclusive=True, bit=bit, basis_used=basis,
+                        inside_S=BLOCK_LABELS[block] == "S")
 
 
 def sift(
@@ -274,15 +274,14 @@ def estimate_pS(states: Sequence[PairState], rng: np.random.Generator) -> float:
 
     Each state is measured in the tagged H/V basis immediately after the
     tag (no Hadamard); the estimate is the fraction of HV or VH outcomes.
-    The sample must consist of states with nonzero coincident weight.
+    The sample must consist of states with nonzero coincident weight; each
+    takes one uniform draw, in sample order.
     """
     if len(states) == 0:
         raise ValueError("pS estimation needs a nonempty sample")
-    hits = 0
-    for s in states:
-        p_conc, weights = coincident_split(s)
-        if p_conc <= 0.0:
-            raise ValueError("pS sample contains a state with no coincident component")
-        if rng.random() < weights.get("S", 0.0) / p_conc:
-            hits += 1
-    return hits / len(states)
+    amps = np.array([s.amplitudes for s in states])
+    w = read_rows(amps, np.zeros(len(amps), dtype=int)).sum(axis=2)  # any basis: block weights
+    p_conc = w.sum(axis=1)
+    if np.any(p_conc <= 0.0):
+        raise ValueError("pS sample contains a state with no coincident component")
+    return int(np.count_nonzero(rng.random(len(states)) < w[:, 1] / p_conc)) / len(states)

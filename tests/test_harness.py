@@ -531,6 +531,20 @@ class TestCliInputErrors:
         err = _input_error(capsys, argv + [str(path)])
         assert all(key in err for key in keys)
 
+    @pytest.mark.parametrize("command", ["sweep", "single"])
+    def test_empty_schemes_rejected(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)  # nothing may be written, but not into the checkout
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schemes": []}))
+        assert "scheme" in _input_error(capsys, [command, "--config", str(path)])
+
+    @pytest.mark.parametrize("command", ["sweep", "single"])
+    def test_unwritable_out_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "no_such_dir" / "out.csv"
+        err = _input_error(capsys, [command, "--duration-scale", "0.001", "--out", str(out)])
+        assert "no_such_dir" in err
+        assert not out.parent.exists()
+
 
 def _z(measured: float, mean: float, variance: float) -> float:
     return (measured - mean) / math.sqrt(variance)

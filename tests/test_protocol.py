@@ -147,6 +147,65 @@ class TestMeasure:
                 assert abs(p_conc - survival_probability(u_eff)) < 1e-10
 
 
+class _Uniforms:
+    """A generator stand-in whose random() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+# block weights HH 0.1, S 0.4, VV 0.2, and 0.3 outside the coincident sector
+_CELL_STATE = hilbert.pure_state({
+    (("H", 1), ("H", 1)): np.sqrt(0.1),
+    (("H", 1), ("V", 1)): np.sqrt(0.2),
+    (("V", 1), ("H", 1)): np.sqrt(0.2),
+    (("V", 1), ("V", 1)): np.sqrt(0.2),
+    (("H", 0), ("V", 1)): np.sqrt(0.3),
+})
+# its P(block, bit) in the +/- basis: HH and VV split evenly over the bits,
+# and the S part |HV> + |VH> decodes to bit 0 only
+_CELLS = np.array([[0.05, 0.05], [0.4, 0.0], [0.1, 0.1]])
+
+
+class TestMeasureCells:
+    """measure walks the cells HH 0, HH 1, S 0, S 1, VV 0, VV 1 with one uniform."""
+
+    def outcome(self, u):
+        return measure(_CELL_STATE, BasisChoice.PLUS_MINUS, _Uniforms(u))
+
+    def test_hand_built_table(self):
+        (joint,) = read_rows(_CELL_STATE.amplitudes[None], np.zeros(1, dtype=int))
+        np.testing.assert_allclose(joint, _CELLS, atol=1e-12)
+
+    def test_each_cell_just_inside_its_bounds(self):
+        edges = np.concatenate([[0.0], np.cumsum(_CELLS)])
+        for cell, (low, high) in enumerate(zip(edges[:-1], edges[1:])):
+            if high == low:
+                continue
+            block, bit = divmod(cell, 2)
+            # u = 0 is drawable and lands in the first cell
+            for u in (low + 1e-9, high - 1e-9) if cell else (0.0, high - 1e-9):
+                out = self.outcome(u)
+                assert out.conclusive and out.bit == bit
+                assert out.inside_S == (block == 1)
+                assert out.basis_used is BasisChoice.PLUS_MINUS
+
+    def test_past_the_last_cell_not_conclusive(self):
+        for u in (0.7 + 1e-9, 0.999999):
+            out = self.outcome(u)
+            assert not out.conclusive and out.bit is None and not out.inside_S
+
+    def test_zero_weight_cell_never_drawn(self):
+        (joint,) = read_rows(_CELL_STATE.amplitudes[None], np.zeros(1, dtype=int))
+        edge = np.cumsum(joint)[2]  # where S bit 0 ends and the empty S bit 1 sits
+        below, at = self.outcome(np.nextafter(edge, 0.0)), self.outcome(edge)
+        assert below.inside_S and below.bit == 0
+        assert not at.inside_S and at.bit == 0  # VV bit 0, the next cell with weight
+
+
 class TestFrameIndependence:
     def test_sifted_bits_error_free_for_any_rotation(self):
         rng = np.random.default_rng(3)
@@ -375,6 +434,20 @@ class TestBitOddsMatchTransformChain:
             for label, w, p0 in blocks:
                 block = np.where(_BLOCK_REFERENCE[label], s.amplitudes, 0.0) / np.sqrt(w)
                 assert p0 == pytest.approx(_chain_bit0(block, basis), abs=1e-12)
+
+
+class TestEstimatePSDrawsOncePerState:
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_one_draw_per_state_loop(self, seed):
+        source = np.random.default_rng(seed)
+        states = [_random_state(source.integers(-1000, 1001, size=72)) for _ in range(50)]
+        rng = np.random.default_rng(seed)
+        hits = 0
+        for s in states:
+            p_conc, weights = coincident_split(s)
+            hits += rng.random() < weights.get("S", 0.0) / p_conc
+        assert estimate_pS(states, np.random.default_rng(seed)) == hits / len(states)
 
 
 class TestLocalRotationsStayInS:

@@ -2,12 +2,12 @@
 
 Every emitted pair and every accidental is sorted independently of the
 others (multinomially over the round configurations for 'none' and
-'flip_half', by its own Haar rotation for 'haar', then by binomial
-thinning), so by Poisson splitting the five disjoint tally categories are
-independent Poisson counts.  Their means follow from the public closed
-forms.  A defect that keeps the means but shares a draw between pairs, or
-thins in the wrong order, shows here as over-dispersion, correlation or a
-shifted mean.
+'flip_half', by its own Haar rotation for 'haar', then by one multinomial
+draw over the round outcomes), so by Poisson splitting the five disjoint
+tally categories are independent Poisson counts.  Their means follow from
+the public closed forms.  A defect that keeps the means but shares a draw
+between pairs, or sorts with the wrong odds, shows here as
+over-dispersion, correlation or a shifted mean.
 """
 
 import numpy as np
