@@ -147,8 +147,9 @@ def haar_sample(rng: np.random.Generator) -> CollectiveRotation:
     survival |a|^4 over the ensemble is exactly 1/3.
     """
     x = rng.normal(size=4)
-    x = x / np.linalg.norm(x)
-    return CollectiveRotation(complex(x[0], x[1]), complex(x[2], x[3]))
+    r = math.sqrt(x.dot(x))  # exactly np.linalg.norm(x), without its per-call overhead
+    a0, a1, b0, b1 = x.tolist()
+    return CollectiveRotation(complex(a0 / r, a1 / r), complex(b0 / r, b1 / r))
 
 
 def haar_matrices(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -53,6 +53,14 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _writable(path: str) -> str:
+    try:
+        open(path, "a", encoding="utf-8").close()  # before any run; keeps an existing file
+    except OSError as exc:
+        _fail(f"cannot write output: {exc}")
+    return path
+
+
 def _print_rows(rows) -> None:
     header = "idx scheme     conclusive_hz  norm_coinc   qber      p_S     key_rate"
     print(header)
@@ -66,8 +74,8 @@ def _print_rows(rows) -> None:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    path = _writable(args.out or "sweep_results." + args.format)
     rows = run_sweep(cfg)
-    path = args.out or "sweep_results." + args.format
     try:
         emit(rows, format=args.format, path=path, config=cfg)
     except OSError as exc:
@@ -85,11 +93,11 @@ def _cmd_single(args) -> int:
         _fail(f"setting index {args.setting} out of range (0..{len(cfg.settings) - 1})")
     setting = cfg.settings[args.setting]
     scheme = cfg.schemes[0]
+    path = _writable(args.out or "session_tally.json")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     tally = simulate_session(cfg.noise, setting, scheme, cfg.duration_s, rng)
     payload = {"config": cfg.to_dict(), "setting_index": args.setting,
                "scheme": scheme, "tally": dataclasses.asdict(tally)}
-    path = args.out or "session_tally.json"
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

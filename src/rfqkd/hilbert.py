@@ -171,14 +171,8 @@ def tag(s: PairState, pol_to_delay: str) -> PairState:
     ):
         raise ValueError("bin overflow: tagged polarization already occupies bin 2")
     out = amps.copy()
-    # photon 1 shift
-    shifted = np.zeros_like(out[p])
-    shifted[1:] = out[p, :-1]
-    out[p] = shifted
-    # photon 2 shift
-    shifted = np.zeros_like(out[:, :, p, :])
-    shifted[:, :, 1:] = out[:, :, p, :-1]
-    out[:, :, p, :] = shifted
+    out[p, 1:], out[p, 0] = amps[p, :-1], 0.0  # photon 1 shift
+    out[:, :, p, 1:], out[:, :, p, 0] = out[:, :, p, :-1].copy(), 0.0  # then photon 2
     return PairState(out, s.norm_kind)
 
 

@@ -129,15 +129,12 @@ _H = POLS.index("H")
 # with V at index 1 that is the sum of the two polarization indices
 BLOCK_LABELS = {0: "HH", 1: "S", 2: "VV"}
 _BLOCKS = np.array([np.add.outer(range(2), range(2)) == n for n in BLOCK_LABELS])
-# (same, different) polarization of the two photons: decoded bit 0 or 1
-_BITS = np.moveaxis(np.array([np.eye(2), 1.0 - np.eye(2)]), 0, -1)
+# decoded bit of each output (pol1, pol2) = ij: same polarization 0, different 1
+_BITS = np.array([np.eye(2), 1.0 - np.eye(2)]).reshape(2, 4)
 _STATES, _BASES = tuple(LogicalState), tuple(BasisChoice)
-# the readout on (pol1, pol2) per basis: the basis transform on photon 1,
-# then the Hadamard on both photons
-_READOUT = np.array([
-    np.einsum("ip,jq->ijpq", HADAMARD @ t, HADAMARD)
-    for t in (np.eye(2), _BASIS_I_TRANSFORM)  # in _BASES order
-])
+# the readout of each basis (_BASES order) and block as one (basis, ij, block) x pq table
+_READ = np.einsum("sip,jq,kpq->sijkpq", HADAMARD @ np.array([np.eye(2), _BASIS_I_TRANSFORM]),
+                  HADAMARD, _BLOCKS).reshape(-1, 4)
 # phase factor of a two-photon mask on each (pol1, pol2), by mask index
 _MASK_PHASES = np.array([np.outer(np.diag(m.matrix), np.diag(m.matrix)) for m in PhaseMask])
 
@@ -147,6 +144,8 @@ _PREPARED = {l: pure_state(zip(((("H", 0), ("V", 0)), (("V", 0), ("H", 0))), l.a
              for l in LogicalState}
 # Alice's tag of V on each prepared state: the fixed start of every round
 _TAGGED = np.array([tag(_PREPARED[l], "V").amplitudes for l in _STATES])
+# its support: each (pol1, bin1, pol2, bin2) entry nonzero in some state, by state
+_SUPPORT = [(tuple(e), _TAGGED[(slice(None), *e)]) for e in np.argwhere(np.any(_TAGGED, axis=0))]
 
 
 def prepare(l: LogicalState) -> PairState:
@@ -176,11 +175,12 @@ def evolve_rows(states: np.ndarray, u: np.ndarray, masks: np.ndarray) -> np.ndar
     Row n is the prepared state states[n] (an index into LogicalState) with
     Alice's tag of V, the 2x2 unitary u[n] on both photons (the channel with
     any compensation B folded in, u @ B), the phase mask masks[n] (an index
-    into PhaseMask) and Bob's tag of H.  Unlike the PairState pipelines it
-    checks nothing per row: its inputs are built, not read.
+    into PhaseMask) and Bob's tag of H; only the tagged support is rotated.
+    Unlike the PairState pipelines it checks nothing: its inputs are built.
     """
-    z = np.einsum("nij,njblc->niblc", u, _TAGGED[states])
-    z = np.einsum("nkl,niblc->nibkc", u, z)
+    z = np.zeros((len(states),) + _TAGGED.shape[1:], dtype=complex)
+    for (j, b, l, c), x in _SUPPORT:
+        z[:, :, b, :, c] += x[states][:, None, None] * u[:, :, j, None] * u[:, None, :, l]
     z *= _MASK_PHASES[masks][:, :, None, :, None]
     # bin 2 is still empty before Bob's tag, so rolling the H bins by one is the delay
     z[:, _H] = np.roll(z[:, _H], 1, axis=1)
@@ -195,13 +195,15 @@ def read_rows(amps: np.ndarray, bases: np.ndarray) -> np.ndarray:
     blocks HH, S, VV (BLOCK_LABELS order) are the mask-dephased sectors of
     the 12 coincident amplitudes, so each is read on its own: through row
     n's basis bases[n] (an index into BasisChoice) and the Hadamard pair,
-    with same polarization decoded as bit 0.  Every entry is a sum of
-    squared moduli, hence nonnegative; summed over bits they are the block
-    weights, and over everything the coincidence probability.
+    with same polarization decoded as bit 0; one product with `_READ` reads
+    all rows in both bases.  Every entry is a sum of squared moduli, hence
+    nonnegative; summed over bits they are the block weights, and over
+    everything the coincidence probability.
     """
-    c = np.diagonal(amps, axis1=2, axis2=4)  # (N, pol1, pol2, bin)
-    out = np.einsum("nijpq,kpq,npqb->nkijb", _READOUT[bases], _BLOCKS, c)
-    return np.einsum("nkijb,ijt->nkt", np.abs(out) ** 2, _BITS)
+    c = np.moveaxis(np.diagonal(amps, axis1=2, axis2=4), 0, -1).reshape(4, -1)  # (pq, bin, row)
+    p = (np.abs(_READ @ c) ** 2).reshape(2, 12, N_BINS, len(amps)).sum(axis=2)
+    p = np.where(bases == 1, p[1], p[0])  # (ij, block, row) in each row's basis
+    return (_BITS @ p.reshape(4, 3 * len(amps))).reshape(2, 3, len(amps)).T
 
 
 def evolve(l: LogicalState, u: CollectiveRotation, mask: PhaseMask = PhaseMask.ZERO) -> PairState:

@@ -122,6 +122,15 @@ class TestHaarSample:
         u2 = haar_sample(np.random.default_rng(7))
         assert u1.a == u2.a and u1.b == u2.b
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+    def test_equals_linalg_norm_form_exactly(self, seed):
+        fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            u = haar_sample(fast)
+            x = reference.normal(size=4)
+            x = x / np.linalg.norm(x)
+            assert (u.a, u.b) == (complex(x[0], x[1]), complex(x[2], x[3]))
+
 
 class TestDeltaParams:
     def test_identity(self):

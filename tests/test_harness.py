@@ -545,6 +545,26 @@ class TestCliInputErrors:
         assert "no_such_dir" in err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("command, runner", [("sweep", "run_sweep"),
+                                                 ("single", "simulate_session")])
+    def test_unwritable_out_found_before_the_run(self, tmp_path, monkeypatch, capsys,
+                                                 command, runner):
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"{runner} ran before the output path was checked")
+
+        monkeypatch.setattr(cli, runner, no_run)
+        out = tmp_path / "no_such_dir" / "out.csv"
+        assert "no_such_dir" in _input_error(capsys, [command, "--out", str(out)])
+
+    @pytest.mark.parametrize("command", ["sweep", "single"])
+    def test_bad_config_keeps_existing_out(self, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        out.write_text("earlier results\n")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"duraton_s": 5}))
+        _input_error(capsys, [command, "--config", str(path), "--out", str(out)])
+        assert out.read_text() == "earlier results\n"
+
 
 def _z(measured: float, mean: float, variance: float) -> float:
     return (measured - mean) / math.sqrt(variance)

@@ -502,3 +502,62 @@ class TestArrayEngineMatchesScalarChain:
             for mask in PhaseMask:
                 engine = evolve(state, u, mask).amplitudes
                 assert np.max(np.abs(engine - evolved(state, u=u, mask=mask).amplitudes)) <= 1e-12
+
+
+def _chain_joint(s, basis):
+    """P(block, bit) of a state from its block projections and the transform chain."""
+    joint = np.zeros((3, 2))
+    for k, label in enumerate(("HH", "S", "VV")):
+        block = np.where(_BLOCK_REFERENCE[label], s.amplitudes, 0.0)
+        w = float(np.sum(np.abs(block) ** 2))
+        if w > 0.0:
+            p0 = _chain_bit0(block / np.sqrt(w), basis)
+            joint[k] = w * p0, w * (1.0 - p0)
+    return joint
+
+
+class TestEngineRowsAreIndependent:
+    """A batch mixing rotations, compensations, states, masks and bases gives
+    every row exactly what that row gives alone and through the scalar chain."""
+
+    N = 300  # a multiple of neither the 16 fixed-scheme rows nor the 256-row Haar groups
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        rng = np.random.default_rng(20041122)
+        rotations = [haar_sample(rng) for _ in range(self.N)]
+        flips, states, masks, bases = rng.integers((2, 4, 4, 2), size=(self.N, 4)).T
+        u = np.array([r.matrix @ (FLIP.matrix if f else np.eye(2))
+                      for r, f in zip(rotations, flips)])
+        rows = evolve_rows(states, u, masks)
+        return rotations, flips, states, masks, bases, u, rows, read_rows(rows, bases)
+
+    def test_each_row_matches_its_own_call_and_the_chain(self, batch):
+        rotations, flips, states, masks, bases, u, rows, joint = batch
+        assert rows.shape == (self.N, 2, 3, 2, 3) and joint.shape == (self.N, 3, 2)
+        assert np.all(joint >= 0.0)
+        for n in range(self.N):
+            one = slice(n, n + 1)
+            chain = evolved(list(LogicalState)[states[n]], ("identity", "flip")[flips[n]],
+                            rotations[n], list(PhaseMask)[masks[n]])
+            alone = evolve_rows(states[one], u[one], masks[one])[0]
+            assert np.max(np.abs(rows[n] - alone)) <= 1e-12
+            assert np.max(np.abs(rows[n] - chain.amplitudes)) <= 1e-12
+            assert np.max(np.abs(joint[n] - read_rows(rows[one], bases[one])[0])) <= 1e-12
+            reference = _chain_joint(chain, list(BasisChoice)[bases[n]])
+            assert np.max(np.abs(joint[n] - reference)) <= 1e-12
+
+    def test_strided_and_broadcast_inputs(self, batch):
+        _, _, states, masks, bases, u, rows, joint = batch
+        assert np.max(np.abs(read_rows(rows[::3], bases[::3]) - joint[::3])) <= 1e-12
+        assert np.max(np.abs(evolve_rows(states[::2], u[::2], masks[::2]) - rows[::2])) <= 1e-12
+        shared = evolve_rows(states, np.broadcast_to(u[0], u.shape), masks)
+        for n in range(0, self.N, 37):
+            own = evolve_rows(states[n:n + 1], u[:1], masks[n:n + 1])[0]
+            assert np.max(np.abs(shared[n] - own)) <= 1e-12
+
+    def test_no_rows(self):
+        rows = evolve_rows(np.zeros(0, dtype=int), np.zeros((0, 2, 2), dtype=complex),
+                           np.zeros(0, dtype=int))
+        assert rows.shape == (0, 2, 3, 2, 3)
+        assert read_rows(rows, np.zeros(0, dtype=int)).shape == (0, 3, 2)
