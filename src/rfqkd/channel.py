@@ -10,6 +10,7 @@ compensation rotation B can be drawn as identity-or-flip or Haar uniform.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -121,9 +122,20 @@ def hwp_jones(theta_deg: float) -> np.ndarray:
 
 
 def from_waveplates(r: RotatorSetting) -> CollectiveRotation:
-    """Composite QWP(q1) . HWP(h) . QWP(q2) rotation, det-normalized."""
-    m = qwp_jones(r.qwp1_deg) @ hwp_jones(r.hwp_deg) @ qwp_jones(r.qwp2_deg)
-    return CollectiveRotation.from_matrix(m)
+    """Composite QWP(q1) . HWP(h) . QWP(q2) rotation, det-normalized.
+
+    Each plate R(-t) diag(1, phi) R(t) (`qwp_jones`, `hwp_jones`) is
+    symmetric, so the product is multiplied out on Python complex scalars.
+    """
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    for theta_deg, phi in ((r.qwp1_deg, 1j), (r.hwp_deg, -1.0), (r.qwp2_deg, 1j)):
+        t = math.radians(theta_deg)
+        c, s = math.cos(t), math.sin(t)
+        p, q, w = c * c + phi * (s * s), c * s * (1 - phi), s * s + phi * (c * c)
+        m00, m01 = m00 * p + m01 * q, m00 * q + m01 * w  # each row of m times the plate
+        m10, m11 = m10 * p + m11 * q, m10 * q + m11 * w
+    root = cmath.sqrt(m00 * m11 - m01 * m10)  # the principal root, as np.sqrt takes
+    return CollectiveRotation(m00 / root, m10 / root)
 
 
 def sweep_settings(n: int = 5) -> tuple[RotatorSetting, ...]:

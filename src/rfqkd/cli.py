@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import NoReturn, Optional
@@ -141,6 +142,7 @@ def _cmd_selftest(args) -> int:
     return 0 if selftest(seed=args.seed) else 1
 
 
+@functools.cache  # one parser per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfqkd",

@@ -63,6 +63,9 @@ class NoiseConfig:
             raise ValueError("source_error_prob must be in [0, 1]")
         if not 0.0 < self.visibility <= 1.0:
             raise ValueError("visibility must be in (0, 1]")
+        if intrinsic_error_rate(self) > 1.0:
+            raise ValueError("source_error_prob + (1 - visibility)/2 must be at most 1, got "
+                             f"{self.source_error_prob!r} + (1 - {self.visibility!r})/2")
         if not 0.0 <= self.ps_sample_fraction < 1.0:
             raise ValueError("ps_sample_fraction must be in [0, 1)")
 
@@ -141,14 +144,18 @@ _ACCIDENTAL = np.array([[[0.125, 0.125], [0.25, 0.25], [0.125, 0.125]]])
 # the compensations B of the fixed schemes, each given to an equal share of the pairs
 _COMPENSATIONS = {"none": np.eye(2)[None],
                   "flip_half": np.array([np.eye(2), CollectiveRotation.bit_flip().matrix])}
+# each fixed scheme's rows (states, B, masks, shares): every (state, B, mask) once, equally likely
+_FIXED_ROWS = {scheme: (states, b[k], masks, np.full(states.size, 1.0 / states.size))
+               for scheme, b in _COMPENSATIONS.items()
+               for states, k, masks in [np.indices((4, len(b), 4)).reshape(3, -1)]}
 
 
 def _round_groups(scheme: Scheme, n_det: int, rng: np.random.Generator):
     """Detected pairs as array groups (states, B, masks, counts).
 
     States and masks index LogicalState and PhaseMask.  'none' and
-    'flip_half' give one group of their 16 or 32 equally likely
-    configurations, sharing the pairs multinomially; 'haar' gives one row
+    'flip_half' give one group of their 16 or 32 equally likely rows
+    (`_FIXED_ROWS`), sharing the pairs multinomially; 'haar' gives one row
     per pair, with a fresh Haar B, in groups of at most _HAAR_BLOCK rows.
     """
     if scheme == "haar":
@@ -157,12 +164,10 @@ def _round_groups(scheme: Scheme, n_det: int, rng: np.random.Generator):
             b = haar_matrices(rng, n)  # drawn ahead of the states and masks
             yield rng.integers(4, size=n), b, rng.integers(4, size=n), np.ones(n, dtype=int)
         return
-    if scheme not in _COMPENSATIONS:
+    if scheme not in _FIXED_ROWS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    b = _COMPENSATIONS[scheme]
-    states, k, masks = np.indices((4, len(b), 4)).reshape(3, -1)
-    counts = rng.multinomial(n_det, np.full(len(states), 1.0 / len(states)))
-    yield states, b[k], masks, counts
+    states, b, masks, share = _FIXED_ROWS[scheme]
+    yield states, b, masks, rng.multinomial(n_det, share)
 
 
 def _sort(rng: np.random.Generator, counts: np.ndarray, joint: np.ndarray,
@@ -212,7 +217,7 @@ def simulate_session(
     """
     if not duration_s > 0.0:
         raise ValueError("duration must be positive")
-    u = from_waveplates(sweep_setting)
+    u = from_waveplates(sweep_setting).matrix
     p_det = cfg.apparatus_efficiency * transmittance(cfg) ** 2
 
     n_emit = int(rng.poisson(cfg.pair_rate_hz * duration_s))
@@ -221,8 +226,8 @@ def simulate_session(
 
     outcomes = np.zeros(5, dtype=np.int64)
     for states, b, masks, counts in _round_groups(scheme, n_det, rng):
-        u_eff = np.einsum("ij,njk->nik", u.matrix, b)  # the channel after each B
-        joint = read_rows(evolve_rows(states, u_eff, masks), _BASIS_INDEX[states])
+        # u @ b: the channel after each row's B
+        joint = read_rows(evolve_rows(states, u @ b, masks), _BASIS_INDEX[states])
         outcomes += _sort(rng, counts, joint, _KEY_BITS[states], 0.5, cfg)
     outcomes += _sort(rng, np.array([n_acc]), _ACCIDENTAL, np.zeros(1, dtype=int), 1.0, cfg)
     test_in, test_out, unsifted, right, wrong = (int(n) for n in outcomes)

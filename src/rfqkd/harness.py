@@ -10,6 +10,7 @@ lines, or a wrapping object for JSON).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -26,6 +27,7 @@ from .detection import NoiseConfig, simulate_session
 from .protocol import TallyCounts
 
 DEFAULT_SEED = 123456789
+_field_types = functools.cache(get_type_hints)  # resolved once per record class
 
 
 def from_json(cls, data, where: str):
@@ -37,7 +39,7 @@ def from_json(cls, data, where: str):
     string for a tuple of strings.  Else a ValueError names the key."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
-    types = get_type_hints(cls)
+    types = _field_types(cls)
     unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")

@@ -144,8 +144,13 @@ _PREPARED = {l: pure_state(zip(((("H", 0), ("V", 0)), (("V", 0), ("H", 0))), l.a
              for l in LogicalState}
 # Alice's tag of V on each prepared state: the fixed start of every round
 _TAGGED = np.array([tag(_PREPARED[l], "V").amplitudes for l in _STATES])
-# its support: each (pol1, bin1, pol2, bin2) entry nonzero in some state, by state
-_SUPPORT = [(tuple(e), _TAGGED[(slice(None), *e)]) for e in np.argwhere(np.any(_TAGGED, axis=0))]
+_P, _Q = np.ogrid[:2, :2]  # each output (pol1, pol2)
+# its support entries (j, b, l, c), nonzero in some state, as (j, l), the amplitude by state
+# and the flat cells their rotated outputs fill once Bob's tag of H has moved each photon
+# in H one bin later (bin 2 is empty before his tag); the two entries fill eight cells
+_SUPPORT = [((j, l), _TAGGED[:, j, b, l, c],
+             np.ravel_multi_index((_P, b + (_P == _H), _Q, c + (_Q == _H)), _TAGGED.shape[1:]))
+            for j, b, l, c in np.argwhere(np.any(_TAGGED, axis=0))]
 
 
 def prepare(l: LogicalState) -> PairState:
@@ -175,17 +180,16 @@ def evolve_rows(states: np.ndarray, u: np.ndarray, masks: np.ndarray) -> np.ndar
     Row n is the prepared state states[n] (an index into LogicalState) with
     Alice's tag of V, the 2x2 unitary u[n] on both photons (the channel with
     any compensation B folded in, u @ B), the phase mask masks[n] (an index
-    into PhaseMask) and Bob's tag of H; only the tagged support is rotated.
-    Unlike the PairState pipelines it checks nothing: its inputs are built.
+    into PhaseMask) and Bob's tag of H.  Only the tagged support is rotated,
+    and each product, times its mask phase, is written straight into the
+    cells Bob's delay moves it to.  Unlike the PairState pipelines it checks
+    nothing: its inputs are built.
     """
-    z = np.zeros((len(states),) + _TAGGED.shape[1:], dtype=complex)
-    for (j, b, l, c), x in _SUPPORT:
-        z[:, :, b, :, c] += x[states][:, None, None] * u[:, :, j, None] * u[:, None, :, l]
-    z *= _MASK_PHASES[masks][:, :, None, :, None]
-    # bin 2 is still empty before Bob's tag, so rolling the H bins by one is the delay
-    z[:, _H] = np.roll(z[:, _H], 1, axis=1)
-    z[:, :, :, _H] = np.roll(z[:, :, :, _H], 1, axis=3)
-    return z
+    phases = _MASK_PHASES[masks]
+    z = np.zeros((len(states), _TAGGED[0].size), dtype=complex)
+    for (j, l), x, cells in _SUPPORT:
+        z[:, cells] = x[states][:, None, None] * u[:, :, j, None] * u[:, None, :, l] * phases
+    return z.reshape((len(states),) + _TAGGED.shape[1:])
 
 
 def read_rows(amps: np.ndarray, bases: np.ndarray) -> np.ndarray:

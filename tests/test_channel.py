@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rfqkd import channel, hilbert, protocol
 from rfqkd.channel import (
@@ -63,6 +65,14 @@ class TestCollectiveRotation:
         assert abs(abs(u.a) - 1.0) < 1e-12
 
 
+def _assert_equals_jones_reference(r: RotatorSetting):
+    """from_waveplates against the det-normalized product of the Jones matrices."""
+    m = (channel.qwp_jones(r.qwp1_deg) @ channel.hwp_jones(r.hwp_deg)
+         @ channel.qwp_jones(r.qwp2_deg))
+    ref, u = CollectiveRotation.from_matrix(m), from_waveplates(r)
+    assert abs(u.a - ref.a) <= 1e-15 and abs(u.b - ref.b) <= 1e-15, (u, ref)
+
+
 class TestFromWaveplates:
     def test_all_plates_at_zero_is_identity(self):
         u = from_waveplates(RotatorSetting(0.0, 0.0, 0.0))
@@ -96,6 +106,14 @@ class TestFromWaveplates:
                 np.max(np.abs(u.matrix - oracle)), np.max(np.abs(u.matrix + oracle))
             )
             assert diff < 1e-10
+
+    @given(*[st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-360.0, 360.0))] * 3)
+    def test_equals_jones_reference(self, qwp1, hwp, qwp2):
+        _assert_equals_jones_reference(RotatorSetting(qwp1, hwp, qwp2))
+
+    @pytest.mark.parametrize("setting", sweep_settings(), ids=lambda r: f"hwp{r.hwp_deg}")
+    def test_sweep_equals_jones_reference(self, setting):
+        _assert_equals_jones_reference(setting)
 
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValueError):

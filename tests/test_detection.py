@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rfqkd.channel import from_waveplates, randomized_survival, sweep_settings
 from rfqkd.detection import (
@@ -95,6 +97,27 @@ class TestNoiseConfigValidation:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             NoiseConfig(singles_rate_hz=-1.0)
+
+    def test_intrinsic_flip_above_one_rejected(self):
+        with pytest.raises(ValueError, match=r"source_error_prob \+ \(1 - visibility\)/2"):
+            NoiseConfig(source_error_prob=0.9, visibility=0.2)
+
+    def test_intrinsic_flip_of_one_flips_every_true_pair(self):
+        cfg = NoiseConfig.four_meter(singles_rate_hz=0.0, source_error_prob=0.75, visibility=0.5)
+        assert intrinsic_error_rate(cfg) == 1.0
+        tally = simulate_session(cfg, SETTINGS[0], "none", 10.0, np.random.default_rng(0))
+        assert tally.sifted > 0 and tally.errors == tally.sifted
+
+    @given(st.floats(0.0, 1.0), st.floats(1e-9, 1.0), st.sampled_from(["none", "flip_half"]))
+    def test_every_accepted_flip_probability_runs(self, source_error_prob, visibility, scheme):
+        """A config is refused at construction or its session runs: no sampler error."""
+        try:
+            cfg = NoiseConfig.four_meter(source_error_prob=source_error_prob,
+                                         visibility=visibility)
+        except ValueError:
+            assert source_error_prob + (1.0 - visibility) / 2.0 > 1.0
+            return
+        simulate_session(cfg, SETTINGS[2], scheme, 1.0, np.random.default_rng(1))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["pair_rate_hz", "fiber_length_km", "atten_db_per_km",

@@ -5,6 +5,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,13 +74,15 @@ def _unit(lo=0.0):
 
 _RATES = st.floats(0.0, 1e6)
 _ANGLES = st.floats(-360.0, 360.0)
+# (source_error_prob, visibility) whose intrinsic flip probability is at most 1
+_FLIPS = st.tuples(_unit(), _unit(1e-9)).filter(lambda f: f[0] + (1.0 - f[1]) / 2.0 <= 1.0)
 _CONFIGS = st.builds(
     ExperimentConfig,
     noise=st.builds(
-        NoiseConfig, pair_rate_hz=_RATES, apparatus_efficiency=_unit(1e-9),
+        lambda flip, **kw: NoiseConfig(source_error_prob=flip[0], visibility=flip[1], **kw),
+        _FLIPS, pair_rate_hz=_RATES, apparatus_efficiency=_unit(1e-9),
         fiber_length_km=_RATES, atten_db_per_km=_RATES, extra_loss_db=_RATES,
-        singles_rate_hz=_RATES, window_ns=_RATES, source_error_prob=_unit(),
-        visibility=_unit(1e-9), ps_sample_fraction=st.floats(0.0, 0.99)),
+        singles_rate_hz=_RATES, window_ns=_RATES, ps_sample_fraction=st.floats(0.0, 0.99)),
     schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=3).map(tuple),
     settings=st.lists(st.builds(RotatorSetting, _ANGLES, _ANGLES, _ANGLES),
                       min_size=1, max_size=5).map(tuple),
@@ -411,6 +417,59 @@ class TestCli:
         assert "--config" in capsys.readouterr().err
 
 
+def _fresh_process_output(tmp_path, argv, out: str) -> bytes:
+    """What the first `rfqkd` call of a new interpreter writes to out."""
+    cwd = tmp_path / "fresh"
+    cwd.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-m", "rfqkd.cli", *argv, "--out", out], cwd=cwd, env=env,
+                   check=True, capture_output=True)
+    return (cwd / out).read_bytes()
+
+
+class TestRepeatedCliCalls:
+    """Every in-process `cli.main` call shares one parser and still stands alone."""
+
+    def _schemes(self, path) -> list[str]:
+        header = path.read_text().split("\n", 1)[0]
+        return json.loads(header[len("# config: "):])["schemes"]
+
+    def test_scheme_list_does_not_carry_over(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        short = ["--duration-scale", "0.001"]
+        assert cli.main(["sweep", "--scheme", "haar", "--scheme", "none", *short,
+                         "--out", "a.csv"]) == 0
+        assert cli.main(["sweep", *short, "--out", "b.csv"]) == 0
+        assert cli.main(["sweep", "--scheme", "flip_half", *short, "--out", "c.csv"]) == 0
+        assert self._schemes(tmp_path / "a.csv") == ["haar", "none"]
+        assert self._schemes(tmp_path / "b.csv") == list(ExperimentConfig().schemes)
+        assert self._schemes(tmp_path / "c.csv") == ["flip_half"]
+
+    def test_single_after_sweep_matches_fresh_process(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["single", "--scheme", "haar", "--seed", "5", "--setting", "2",
+                "--duration-scale", "0.01"]
+        assert cli.main(["sweep", "--scheme", "none", "--duration-scale", "0.001",
+                         "--out", "sweep.csv"]) == 0
+        assert cli.main([*argv, "--out", "tally.json"]) == 0
+        assert (tmp_path / "tally.json").read_bytes() == _fresh_process_output(
+            tmp_path, argv, "tally.json")
+
+    def test_good_call_after_failed_calls_matches_fresh_process(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--scheme", "flip_half", "--seed", "3", "--duration-scale", "0.01",
+                "--format", "json"]
+        for bad in (["sweep", "--scheme", "bogus"], ["sweep", "--seed", "-1"],
+                    ["single", "--scheme", "none", "--scheme", "haar"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*bad, "--out", "bad.json"])
+            assert exc.value.code == 2
+        assert cli.main([*argv, "--out", "rows.json"]) == 0
+        assert (tmp_path / "rows.json").read_bytes() == _fresh_process_output(
+            tmp_path, argv, "rows.json")
+
+
 def _input_error(capsys, argv) -> str:
     """Run the CLI on bad input; it must exit 2 with one line on stderr."""
     with pytest.raises(SystemExit) as exc:
@@ -488,6 +547,8 @@ class TestCliInputErrors:
                      "'hwp_deg'", id="inf-angle"),
         pytest.param('{"seed": -2}', "seed", id="negative-seed"),
         pytest.param('{"duration_s": 1e16}', "duration_s", id="too-many-pairs"),
+        pytest.param('{"noise": {"source_error_prob": 0.9, "visibility": 0.2}}',
+                     "source_error_prob + (1 - visibility)/2", id="flip-probability-above-one"),
     ])
     def test_config_value_rejected(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.json"
