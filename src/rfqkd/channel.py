@@ -26,8 +26,10 @@ SCHEMES = ("none", "flip_half", "haar")
 
 
 def su2(a, b) -> np.ndarray:
-    """The matrix [[a, -conj(b)], [b, conj(a)]], stacked over arrays a and b."""
-    return np.stack([a, -np.conj(b), b, np.conj(a)], axis=-1).reshape(np.shape(a) + (2, 2))
+    """The matrix [[a, -conj(b)], [b, conj(a)]], over arrays a and b."""
+    m = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, -np.conj(b), b, np.conj(a)
+    return m
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,8 @@ class CollectiveRotation:
 
     @property
     def matrix(self) -> np.ndarray:
-        return su2(complex(self.a), complex(self.b))
+        a, b = complex(self.a), complex(self.b)
+        return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
 
     @classmethod
     def identity(cls) -> "CollectiveRotation":
@@ -158,17 +161,17 @@ def haar_sample(rng: np.random.Generator) -> CollectiveRotation:
     The marginal of |a|^2 is uniform on [0, 1], so the mean coincident
     survival |a|^4 over the ensemble is exactly 1/3.
     """
-    x = rng.normal(size=4)
+    x = rng.standard_normal(4)
     r = math.sqrt(x.dot(x))  # exactly np.linalg.norm(x), without its per-call overhead
     a0, a1, b0, b1 = x.tolist()
     return CollectiveRotation(complex(a0 / r, a1 / r), complex(b0 / r, b1 / r))
 
 
-def haar_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar-distributed SU(2) matrices as an (n, 2, 2) array; `haar_sample` in bulk."""
-    x = rng.normal(size=(n, 4))
+def haar_matrices(rng: np.random.Generator, n: int, u: np.ndarray = np.eye(2)) -> np.ndarray:
+    """u @ B, (n, 2, 2), for n Haar SU(2) B (`haar_sample` in bulk) and special-unitary u."""
+    x = rng.standard_normal((n, 4))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return su2(x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3])
+    return su2(*(u[:, :, None] * x.view(complex).T).sum(axis=1))  # u times B's column (a, b)
 
 
 def delta_params(u: CollectiveRotation) -> DeltaParams:

@@ -24,6 +24,7 @@ draw over the round outcomes (`simulate_session`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -144,14 +145,14 @@ _ACCIDENTAL = np.array([[[0.125, 0.125], [0.25, 0.25], [0.125, 0.125]]])
 # the compensations B of the fixed schemes, each given to an equal share of the pairs
 _COMPENSATIONS = {"none": np.eye(2)[None],
                   "flip_half": np.array([np.eye(2), CollectiveRotation.bit_flip().matrix])}
-# each fixed scheme's rows (states, B, masks, shares): every (state, B, mask) once, equally likely
-_FIXED_ROWS = {scheme: (states, b[k], masks, np.full(states.size, 1.0 / states.size))
+# each fixed scheme's rows (states, index of B, masks, shares): every (state, B, mask) once
+_FIXED_ROWS = {scheme: (states, k, masks, np.full(states.size, 1.0 / states.size))
                for scheme, b in _COMPENSATIONS.items()
                for states, k, masks in [np.indices((4, len(b), 4)).reshape(3, -1)]}
 
 
-def _round_groups(scheme: Scheme, n_det: int, rng: np.random.Generator):
-    """Detected pairs as array groups (states, B, masks, counts).
+def _round_groups(scheme: Scheme, u: np.ndarray, n_det: int, rng: np.random.Generator):
+    """Detected pairs as array groups (states, rotations u @ B, masks, counts).
 
     States and masks index LogicalState and PhaseMask.  'none' and
     'flip_half' give one group of their 16 or 32 equally likely rows
@@ -161,39 +162,40 @@ def _round_groups(scheme: Scheme, n_det: int, rng: np.random.Generator):
     if scheme == "haar":
         for start in range(0, n_det, _HAAR_BLOCK):
             n = min(_HAAR_BLOCK, n_det - start)
-            b = haar_matrices(rng, n)  # drawn ahead of the states and masks
-            yield rng.integers(4, size=n), b, rng.integers(4, size=n), np.ones(n, dtype=int)
+            ub = haar_matrices(rng, n, u)  # drawn ahead of the states and masks
+            yield rng.integers(4, size=n), ub, rng.integers(4, size=n), np.ones(n, dtype=int)
         return
     if scheme not in _FIXED_ROWS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    states, b, masks, share = _FIXED_ROWS[scheme]
-    yield states, b, masks, rng.multinomial(n_det, share)
+    states, k, masks, share = _FIXED_ROWS[scheme]
+    yield states, (u @ _COMPENSATIONS[scheme])[k], masks, rng.multinomial(n_det, share)
 
 
-def _sort(rng: np.random.Generator, counts: np.ndarray, joint: np.ndarray,
-          key_bits: np.ndarray, p_sift: float, cfg: NoiseConfig) -> np.ndarray:
-    """Sort each row's pairs over six outcomes by one multinomial draw.
+def _odds(joint: np.ndarray, key_bits: np.ndarray, p_sift: float, cfg: NoiseConfig) -> np.ndarray:
+    """Odds (N, 6) of a pair's six outcomes, from each row's P(block, bit) joint[n] (`read_rows`).
 
-    joint[n] is row n's P(block, decoded bit) (`read_rows`).  The outcomes
-    are test inside S, test outside S, unsifted key, sifted right, sifted
-    wrong and not conclusive: a conclusive pair is a test round with
-    ps_sample_fraction, else a key round sifted with p_sift, and a sifted
-    bit flips with the intrinsic error rate.  The odds are products of
-    weights, so none is negative and a row with no coincident weight needs
-    no guard.  Returns the counts of the five conclusive outcomes.
+    The outcomes are test inside S, test outside S, unsifted key, sifted
+    right, sifted wrong and not conclusive: a conclusive pair is a test
+    round with ps_sample_fraction, else a key round sifted with p_sift, and
+    a sifted bit flips with the intrinsic error rate.  The odds are products
+    of weights, so none is negative and a row with no coincident weight
+    needs no guard.
     """
-    f, e = cfg.ps_sample_fraction, intrinsic_error_rate(cfg)
-    w = joint.sum(axis=2)
-    bits = joint.sum(axis=1).T
-    right, wrong = np.where(key_bits == 0, bits, bits[::-1])
-    key = 1.0 - f
-    odds = np.stack([
-        f * w[:, 1], f * (w[:, 0] + w[:, 2]), key * (1.0 - p_sift) * w.sum(axis=1),
-        key * p_sift * (right * (1.0 - e) + wrong * e),
-        key * p_sift * (wrong * (1.0 - e) + right * e),
-        np.zeros(len(w)),  # numpy gives the last outcome the remaining odds
-    ], axis=1)
-    return rng.multinomial(counts, odds)[:, :5].sum(axis=0)
+    f, e, key = cfg.ps_sample_fraction, intrinsic_error_rate(cfg), 1.0 - cfg.ps_sample_fraction
+    w, bits = joint.sum(axis=2).T, joint.sum(axis=1).T
+    odds = np.zeros((6, len(joint)))  # numpy gives the last outcome the remaining odds
+    odds[:3] = f * w[1], f * (w[0] + w[2]), key * (1.0 - p_sift) * w.sum(axis=0)
+    right_wrong = np.where(key_bits == 0, bits, bits[::-1])
+    odds[3:5] = key * p_sift * (right_wrong * (1.0 - e) + right_wrong[::-1] * e)
+    return odds.T
+
+
+@functools.lru_cache(maxsize=16)
+def _accidental_odds(cfg: NoiseConfig) -> np.ndarray:
+    """`_odds` of the accidental row, which depend on the configuration alone."""
+    odds = _odds(_ACCIDENTAL, np.zeros(1, dtype=int), 1.0, cfg)
+    odds.flags.writeable = False
+    return odds
 
 
 def simulate_session(
@@ -224,13 +226,12 @@ def simulate_session(
     n_acc = int(rng.poisson(accidental_rate(cfg) * duration_s))
     n_det = int(rng.binomial(n_emit, p_det))
 
-    outcomes = np.zeros(5, dtype=np.int64)
-    for states, b, masks, counts in _round_groups(scheme, n_det, rng):
-        # u @ b: the channel after each row's B
-        joint = read_rows(evolve_rows(states, u @ b, masks), _BASIS_INDEX[states])
-        outcomes += _sort(rng, counts, joint, _KEY_BITS[states], 0.5, cfg)
-    outcomes += _sort(rng, np.array([n_acc]), _ACCIDENTAL, np.zeros(1, dtype=int), 1.0, cfg)
-    test_in, test_out, unsifted, right, wrong = (int(n) for n in outcomes)
+    outcomes = np.zeros(6, dtype=np.int64)
+    for states, ub, masks, counts in _round_groups(scheme, u, n_det, rng):
+        joint = read_rows(evolve_rows(states, ub, masks), _BASIS_INDEX[states])
+        outcomes += rng.multinomial(counts, _odds(joint, _KEY_BITS[states], 0.5, cfg)).sum(axis=0)
+    outcomes += rng.multinomial([n_acc], _accidental_odds(cfg))[0]
+    test_in, test_out, unsifted, right, wrong = (int(n) for n in outcomes[:5])
 
     return TallyCounts(
         rounds=n_emit + n_acc,

@@ -79,11 +79,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.settings:
             raise ValueError("config needs at least one rotator setting")
-        # numpy's Poisson sampler takes means up to about 9.2e18
-        rate = max(self.noise.pair_rate_hz, detection.accidental_rate(self.noise))
-        if not (self.duration_s > 0.0 and rate * self.duration_s <= 1e18):
-            raise ValueError("duration_s must be positive and finite with at most 1e18 "
-                             f"expected pairs, got {self.duration_s!r}")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s!r}")
+        for name, rate in (("pair_rate_hz", self.noise.pair_rate_hz),
+                           ("the accidental rate", detection.accidental_rate(self.noise))):
+            if rate * self.duration_s > 1e18:  # numpy's Poisson takes means up to ~9.2e18
+                raise ValueError(f"{name} times duration_s is {rate:.4g} Hz * {self.duration_s!r} "
+                                 f"s = {rate * self.duration_s:.4g} expected pairs, above 1e18")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not self.schemes:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import CollectiveRotation
-from .hilbert import N_BINS, POLS, PairState, apply_pol_unitary, pure_state, tag
+from .hilbert import DIM, N_BINS, POLS, PairState, apply_pol_unitary, pure_state, tag
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * _SQRT_HALF
@@ -135,6 +135,8 @@ _STATES, _BASES = tuple(LogicalState), tuple(BasisChoice)
 # the readout of each basis (_BASES order) and block as one (basis, ij, block) x pq table
 _READ = np.einsum("sip,jq,kpq->sijkpq", HADAMARD @ np.array([np.eye(2), _BASIS_I_TRANSFORM]),
                   HADAMARD, _BLOCKS).reshape(-1, 4)
+# flat cell of each coincident amplitude (pol1, bin, pol2, bin), in the (pq, bin) order of _READ
+_COINCIDENT = np.arange(DIM).reshape(2, N_BINS, 2, N_BINS).diagonal(axis1=1, axis2=3).ravel()
 # phase factor of a two-photon mask on each (pol1, pol2), by mask index
 _MASK_PHASES = np.array([np.outer(np.diag(m.matrix), np.diag(m.matrix)) for m in PhaseMask])
 
@@ -200,13 +202,15 @@ def read_rows(amps: np.ndarray, bases: np.ndarray) -> np.ndarray:
     the 12 coincident amplitudes, so each is read on its own: through row
     n's basis bases[n] (an index into BasisChoice) and the Hadamard pair,
     with same polarization decoded as bit 0; one product with `_READ` reads
-    all rows in both bases.  Every entry is a sum of squared moduli, hence
-    nonnegative; summed over bits they are the block weights, and over
-    everything the coincidence probability.
+    all rows in both bases, and each row's own basis is squared.  Every
+    entry is a sum of squared moduli, hence nonnegative; summed over bits
+    they are the block weights, and over everything the coincidence probability.
     """
-    c = np.moveaxis(np.diagonal(amps, axis1=2, axis2=4), 0, -1).reshape(4, -1)  # (pq, bin, row)
-    p = (np.abs(_READ @ c) ** 2).reshape(2, 12, N_BINS, len(amps)).sum(axis=2)
-    p = np.where(bases == 1, p[1], p[0])  # (ij, block, row) in each row's basis
+    r = (_READ @ amps.reshape(-1, DIM).T[_COINCIDENT].reshape(4, -1)).reshape(2, 12, N_BINS, -1)
+    np.copyto(r[0], r[1], where=bases == 1)  # (ij and block, bin, row) in each row's own basis
+    p = np.abs(r[0])
+    del r  # freed before squaring: a lower peak per group keeps the allocator from refaulting
+    p = np.square(p, out=p).sum(axis=1)
     return (_BITS @ p.reshape(4, 3 * len(amps))).reshape(2, 3, len(amps)).T
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfqkd import channel, hilbert, protocol
@@ -11,8 +11,10 @@ from rfqkd.channel import (
     RotatorSetting,
     delta_params,
     from_waveplates,
+    haar_matrices,
     haar_sample,
     randomized_survival,
+    su2,
     survival_probability,
     sweep_settings,
 )
@@ -148,6 +150,80 @@ class TestHaarSample:
             x = reference.normal(size=4)
             x = x / np.linalg.norm(x)
             assert (u.a, u.b) == (complex(x[0], x[1]), complex(x[2], x[3]))
+
+
+def _stacked_su2(a, b):
+    """[[a, -conj(b)], [b, conj(a)]] built with np.stack, the first form of `su2`."""
+    return np.stack([a, -np.conj(b), b, np.conj(a)], axis=-1).reshape(np.shape(a) + (2, 2))
+
+
+def _haar_reference(rng, n):
+    """The bulk Haar draw as first written: normal(size=...) draws, stacked."""
+    x = rng.normal(size=(n, 4))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return _stacked_su2(x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3])
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_ANGLES = st.floats(-360.0, 360.0)
+
+
+class TestSu2Construction:
+    @given(*[st.floats(-1.0, 1.0)] * 4)
+    def test_matrix_is_the_stacked_form_bit_for_bit(self, a0, a1, b0, b1):
+        r = float(np.linalg.norm([a0, a1, b0, b1]))
+        a, b = complex(a0, a1), complex(b0, b1)
+        if r > 1e-3:
+            a, b = a / r, b / r
+        else:
+            a, b = 1.0 + 0.0j, 0.0j
+        m = CollectiveRotation(a, b).matrix
+        assert m.dtype == complex and m.shape == (2, 2)
+        assert np.array_equal(m, _stacked_su2(a, b))
+
+    @given(_SEEDS, st.integers(0, 40))
+    def test_su2_is_the_stacked_form_bit_for_bit(self, seed, n):
+        z = np.random.default_rng(seed).normal(size=(2, n, 2)).view(complex)[..., 0]
+        assert np.array_equal(su2(z[0], z[1]), _stacked_su2(z[0], z[1]))
+
+    def test_scalar_su2(self):
+        assert np.array_equal(su2(0.6 + 0.0j, 0.8j), CollectiveRotation(0.6, 0.8j).matrix)
+
+
+class TestHaarMatrices:
+    @settings(deadline=None, max_examples=60)
+    @given(_SEEDS, st.integers(0, 300), _ANGLES, _ANGLES, _ANGLES)
+    def test_channel_folded_into_the_draw(self, seed, n, qwp1, hwp, qwp2):
+        u = from_waveplates(RotatorSetting(qwp1, hwp, qwp2)).matrix
+        folded, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+        ub, b = haar_matrices(folded, n, u), haar_matrices(plain, n)
+        assert folded.bit_generator.state == plain.bit_generator.state
+        assert ub.shape == (n, 2, 2)
+        assert np.max(np.abs(ub - u @ b), initial=0.0) <= 1e-15
+
+    @settings(deadline=None)
+    @given(_SEEDS, st.integers(0, 300))
+    def test_identity_leaves_the_draw_exact(self, seed, n):
+        rngs = [np.random.default_rng(seed) for _ in range(4)]
+        reference = _haar_reference(rngs[0], n)
+        setting_0 = from_waveplates(sweep_settings()[0]).matrix  # identity, signed zeros
+        for rng, u in zip(rngs[1:], (None, np.eye(2), setting_0)):
+            b = haar_matrices(rng, n) if u is None else haar_matrices(rng, n, u)
+            assert np.array_equal(b, reference)
+            assert rng.bit_generator.state == rngs[0].bit_generator.state
+
+    def test_rows_are_haar_sample_in_bulk(self):
+        bulk, scalar = np.random.default_rng(8), np.random.default_rng(8)
+        b = haar_matrices(bulk, 500)
+        for row in b:
+            assert np.max(np.abs(row - haar_sample(scalar).matrix)) <= 1e-15
+
+    def test_scalar_draw_keeps_the_normal_stream(self):
+        fast, reference = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(2000):
+            haar_sample(fast)
+            reference.normal(size=4)
+        assert fast.bit_generator.state == reference.bit_generator.state
 
 
 class TestDeltaParams:

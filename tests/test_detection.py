@@ -6,10 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfqkd.channel import from_waveplates, randomized_survival, sweep_settings
+from rfqkd import detection
+from rfqkd.channel import RotatorSetting, from_waveplates, randomized_survival, sweep_settings
 from rfqkd.detection import (
     NoiseConfig,
     accidental_error_contribution,
@@ -326,3 +327,56 @@ class TestSessionMemory:
         short, long = _traced_peak_bytes(session(15.0)), _traced_peak_bytes(session(150.0))
         assert long < 2_000_000
         assert long <= 1.5 * short
+
+
+def _odds_reference(joint, key_bits, p_sift, cfg):
+    """The outcome odds as first written, stacked column by column."""
+    f, e = cfg.ps_sample_fraction, intrinsic_error_rate(cfg)
+    w = joint.sum(axis=2)
+    bits = joint.sum(axis=1).T
+    right, wrong = np.where(key_bits == 0, bits, bits[::-1])
+    key = 1.0 - f
+    return np.stack([
+        f * w[:, 1], f * (w[:, 0] + w[:, 2]), key * (1.0 - p_sift) * w.sum(axis=1),
+        key * p_sift * (right * (1.0 - e) + wrong * e),
+        key * p_sift * (wrong * (1.0 - e) + right * e),
+        np.zeros(len(w)),
+    ], axis=1)
+
+
+_NOISE = st.builds(NoiseConfig, ps_sample_fraction=st.floats(0.0, 0.99),
+                   source_error_prob=st.floats(0.0, 0.5), visibility=st.floats(0.01, 1.0))
+
+
+class TestOutcomeOdds:
+    """`_odds` is bit-identical to the first form: a one-ulp change would re-roll
+    the exact p = 1/2 binomial splits of the accidentals and the fixed schemes."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.sampled_from([0.5, 1.0]), _NOISE)
+    def test_equals_the_stacked_form(self, seed, n, p_sift, cfg):
+        rng = np.random.default_rng(seed)
+        joint = rng.dirichlet(np.ones(7), size=n)[:, :6].reshape(n, 3, 2)
+        key_bits = rng.integers(2, size=n)
+        odds = detection._odds(joint, key_bits, p_sift, cfg)
+        assert odds.shape == (n, 6)
+        assert np.array_equal(odds, _odds_reference(joint, key_bits, p_sift, cfg))
+
+    @given(_NOISE)
+    def test_accidental_odds_cached_read_only(self, cfg):
+        odds = detection._accidental_odds(cfg)
+        assert odds is detection._accidental_odds(cfg)
+        assert not odds.flags.writeable
+        with pytest.raises(ValueError):
+            odds[0, 0] = 0.0
+        fresh = detection._odds(detection._ACCIDENTAL, np.zeros(1, dtype=int), 1.0, cfg)
+        assert np.array_equal(odds, fresh)
+        assert odds[0, 3] == odds[0, 4]  # sifted right and wrong equally likely
+
+    @pytest.mark.parametrize("scheme", ["none", "flip_half"])
+    @given(*[st.floats(-360.0, 360.0)] * 3)
+    def test_fixed_rotations_equal_one_product_per_row(self, scheme, qwp1, hwp, qwp2):
+        u = from_waveplates(RotatorSetting(qwp1, hwp, qwp2)).matrix
+        _, rotations, _, _ = next(detection._round_groups(scheme, u, 10, np.random.default_rng(0)))
+        _, k, _, _ = detection._FIXED_ROWS[scheme]
+        assert np.array_equal(rotations, u @ detection._COMPENSATIONS[scheme][k])

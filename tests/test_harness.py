@@ -626,6 +626,19 @@ class TestCliInputErrors:
         _input_error(capsys, [command, "--config", str(path), "--out", str(out)])
         assert out.read_text() == "earlier results\n"
 
+    @pytest.mark.parametrize("config, cause, product", [
+        pytest.param({"noise": {"singles_rate_hz": 1e12, "window_ns": 1e9}, "duration_s": 1},
+                     "the accidental rate times duration_s", "2e+24",
+                     id="accidentals"),
+        pytest.param({"duration_s": 1e16}, "pair_rate_hz", "1.2e+20", id="pairs"),
+    ])
+    def test_expected_pair_overflow_names_its_rate(self, tmp_path, capsys, config, cause,
+                                                   product):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(config))
+        err = _input_error(capsys, ["sweep", "--config", str(path)])
+        assert cause in err and f"= {product} expected pairs" in err
+
 
 def _z(measured: float, mean: float, variance: float) -> float:
     return (measured - mean) / math.sqrt(variance)

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfqkd import hilbert
-from rfqkd.channel import CollectiveRotation, haar_sample, survival_probability
+from rfqkd.channel import CollectiveRotation, haar_matrices, haar_sample, survival_probability
 from rfqkd.protocol import (
     _BASIS_I_TRANSFORM,
+    _BITS,
+    _READ,
     COINCIDENT_PAIRS,
     HADAMARD,
     BasisChoice,
@@ -561,3 +563,38 @@ class TestEngineRowsAreIndependent:
                            np.zeros(0, dtype=int))
         assert rows.shape == (0, 2, 3, 2, 3)
         assert read_rows(rows, np.zeros(0, dtype=int)).shape == (0, 3, 2)
+
+
+def _read_rows_reference(amps, bases):
+    """`read_rows` as first written: the coincident amplitudes by diagonal and
+    moveaxis, both bases squared, then each row's basis picked."""
+    c = np.moveaxis(np.diagonal(amps, axis1=2, axis2=4), 0, -1).reshape(4, -1)
+    p = (np.abs(_READ @ c) ** 2).reshape(2, 12, 3, len(amps)).sum(axis=2)
+    p = np.where(bases == 1, p[1], p[0])
+    return (_BITS @ p.reshape(4, 3 * len(amps))).reshape(2, 3, len(amps)).T
+
+
+class TestReadRowsBitIdentical:
+    """`read_rows` squares only each row's own basis, yet every entry equals the
+    first form's bit for bit: the squares and the bin sums are the same operations."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.floats(0.0, 1.0))
+    def test_random_rows_mixed_bases_and_zero_rows(self, seed, n, zero_frac):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=(n, 36, 2)).view(complex)[..., 0]
+        amps[rng.random((n, 36)) < zero_frac] = 0.0
+        amps[rng.random(n) < 0.2] = 0.0  # whole zero rows
+        amps = amps.reshape(n, 2, 3, 2, 3)
+        bases = rng.integers(2, size=n)
+        assert np.array_equal(read_rows(amps, bases), _read_rows_reference(amps, bases))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1))
+    def test_engine_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        states, masks, bases = rng.integers(4, size=(3, 256)) % [[4], [4], [2]]
+        rows = evolve_rows(states, haar_matrices(rng, 256), masks)
+        assert np.array_equal(read_rows(rows, bases), _read_rows_reference(rows, bases))
+        assert np.array_equal(read_rows(rows[::3], bases[::3]),
+                              _read_rows_reference(rows[::3], bases[::3]))
