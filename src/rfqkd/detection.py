@@ -135,8 +135,9 @@ def expected_sifted_rate(cfg: NoiseConfig, survival: float) -> float:
     )
 
 
-# Haar-compensated pairs evaluated per group: memory stays flat in the session length
-_HAAR_BLOCK = 256
+# Haar pairs drawn per group (memory stays flat in the session length) and rows evaluated
+# per slice: 128 rows peak well under glibc's heap-trim edge, which 256 sat on (README)
+_HAAR_BLOCK, _ENGINE_ROWS = 256, 128
 _KEY_BITS = np.array([l.key_bit for l in LogicalState])
 _BASIS_INDEX = np.array([list(BasisChoice).index(l.basis) for l in LogicalState])
 # an accidental as P(block, decoded bit): a uniformly random detector pattern,
@@ -157,13 +158,16 @@ def _round_groups(scheme: Scheme, u: np.ndarray, n_det: int, rng: np.random.Gene
     States and masks index LogicalState and PhaseMask.  'none' and
     'flip_half' give one group of their 16 or 32 equally likely rows
     (`_FIXED_ROWS`), sharing the pairs multinomially; 'haar' gives one row
-    per pair, with a fresh Haar B, in groups of at most _HAAR_BLOCK rows.
+    per pair, with a fresh Haar B, drawn _HAAR_BLOCK rows at a time and
+    yielded in slices of _ENGINE_ROWS, each slice's draw before the next.
     """
     if scheme == "haar":
         for start in range(0, n_det, _HAAR_BLOCK):
             n = min(_HAAR_BLOCK, n_det - start)
             ub = haar_matrices(rng, n, u)  # drawn ahead of the states and masks
-            yield rng.integers(4, size=n), ub, rng.integers(4, size=n), np.ones(n, dtype=int)
+            group = rng.integers(4, size=n), ub, rng.integers(4, size=n), np.ones(n, dtype=int)
+            for k in range(0, n, _ENGINE_ROWS):  # the stream is that of whole groups
+                yield tuple(a[k:k + _ENGINE_ROWS] for a in group)
         return
     if scheme not in _FIXED_ROWS:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -209,7 +209,7 @@ def read_rows(amps: np.ndarray, bases: np.ndarray) -> np.ndarray:
     r = (_READ @ amps.reshape(-1, DIM).T[_COINCIDENT].reshape(4, -1)).reshape(2, 12, N_BINS, -1)
     np.copyto(r[0], r[1], where=bases == 1)  # (ij and block, bin, row) in each row's own basis
     p = np.abs(r[0])
-    del r  # freed before squaring: a lower peak per group keeps the allocator from refaulting
+    del r  # freed before squaring: a lower peak per slice keeps the allocator from refaulting
     p = np.square(p, out=p).sum(axis=1)
     return (_BITS @ p.reshape(4, 3 * len(amps))).reshape(2, 3, len(amps)).T
 

@@ -328,6 +328,30 @@ class TestSessionMemory:
         assert long < 2_000_000
         assert long <= 1.5 * short
 
+    def test_haar_slice_peak_stays_well_under_the_heap_trim_size(self):
+        # glibc trims the heap once its free top reaches twice its largest freed
+        # mmap block (over 512 kB in a started interpreter): 256-row slices peaked
+        # near 560 kB, at that edge, and refaulted every group in some runs only
+        cfg = NoiseConfig.four_meter()
+        simulate_session(cfg, SETTINGS[1], "haar", 1.0, np.random.default_rng(11))
+        peak = _traced_peak_bytes(
+            lambda: simulate_session(cfg, SETTINGS[1], "haar", 15.0, np.random.default_rng(11)))
+        assert peak < 350_000
+
+    @pytest.mark.parametrize("rows", [7, 100, 256])
+    def test_slicing_keeps_every_draw(self, monkeypatch, rows):
+        # each slice's multinomial follows its rows in the stream, so the tallies
+        # do not depend on how a 256-row group is sliced for evaluation
+        cfg = NoiseConfig.four_meter()
+
+        def tallies():
+            return [simulate_session(cfg, s, "haar", 4.0, np.random.default_rng(5))
+                    for s in SETTINGS]
+
+        sliced = tallies()
+        monkeypatch.setattr(detection, "_ENGINE_ROWS", rows)
+        assert tallies() == sliced
+
 
 def _odds_reference(joint, key_bits, p_sift, cfg):
     """The outcome odds as first written, stacked column by column."""
