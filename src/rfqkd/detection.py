@@ -16,10 +16,10 @@ Monte Carlo and the closed-form expectations:
 * A fraction ps_sample_fraction of detections is diverted to the inside-S
   test measurement instead of producing key bits.
 
-Detected pairs are drawn as array groups, the only step that depends on
-the compensation scheme; every group, and the accidentals as one more row,
-goes through the array engine of the protocol layer and one multinomial
-draw over the round outcomes (`simulate_session`).
+Detected pairs are sorted over the round outcomes through the array engine
+of the protocol layer: a fixed scheme's by one multinomial draw over its
+mean odds, 'haar' pairs row by row, and accidentals by one more draw
+(`simulate_session`).
 """
 
 from __future__ import annotations
@@ -146,33 +146,9 @@ _ACCIDENTAL = np.array([[[0.125, 0.125], [0.25, 0.25], [0.125, 0.125]]])
 # the compensations B of the fixed schemes, each given to an equal share of the pairs
 _COMPENSATIONS = {"none": np.eye(2)[None],
                   "flip_half": np.array([np.eye(2), CollectiveRotation.bit_flip().matrix])}
-# each fixed scheme's rows (states, index of B, masks, shares): every (state, B, mask) once
-_FIXED_ROWS = {scheme: (states, k, masks, np.full(states.size, 1.0 / states.size))
-               for scheme, b in _COMPENSATIONS.items()
-               for states, k, masks in [np.indices((4, len(b), 4)).reshape(3, -1)]}
-
-
-def _round_groups(scheme: Scheme, u: np.ndarray, n_det: int, rng: np.random.Generator):
-    """Detected pairs as array groups (states, rotations u @ B, masks, counts).
-
-    States and masks index LogicalState and PhaseMask.  'none' and
-    'flip_half' give one group of their 16 or 32 equally likely rows
-    (`_FIXED_ROWS`), sharing the pairs multinomially; 'haar' gives one row
-    per pair, with a fresh Haar B, drawn _HAAR_BLOCK rows at a time and
-    yielded in slices of _ENGINE_ROWS, each slice's draw before the next.
-    """
-    if scheme == "haar":
-        for start in range(0, n_det, _HAAR_BLOCK):
-            n = min(_HAAR_BLOCK, n_det - start)
-            ub = haar_matrices(rng, n, u)  # drawn ahead of the states and masks
-            group = rng.integers(4, size=n), ub, rng.integers(4, size=n), np.ones(n, dtype=int)
-            for k in range(0, n, _ENGINE_ROWS):  # the stream is that of whole groups
-                yield tuple(a[k:k + _ENGINE_ROWS] for a in group)
-        return
-    if scheme not in _FIXED_ROWS:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    states, k, masks, share = _FIXED_ROWS[scheme]
-    yield states, (u @ _COMPENSATIONS[scheme])[k], masks, rng.multinomial(n_det, share)
+# each fixed scheme's equally likely rows (states, index of B): every (state, B) once
+_FIXED_ROWS = {scheme: np.indices((4, len(b))).reshape(2, -1)
+               for scheme, b in _COMPENSATIONS.items()}
 
 
 def _odds(joint: np.ndarray, key_bits: np.ndarray, p_sift: float, cfg: NoiseConfig) -> np.ndarray:
@@ -202,6 +178,16 @@ def _accidental_odds(cfg: NoiseConfig) -> np.ndarray:
     return odds
 
 
+def _mean_odds(cfg: NoiseConfig, u: np.ndarray, scheme: Scheme) -> np.ndarray:
+    """Odds (6,) of one detected pair of a fixed scheme: `_odds` averaged over
+    its equally likely rows (`_FIXED_ROWS`), B folded into the channel u."""
+    if scheme not in _FIXED_ROWS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    states, k = _FIXED_ROWS[scheme]
+    joint = read_rows(evolve_rows(states, (u @ _COMPENSATIONS[scheme])[k]), _BASIS_INDEX[states])
+    return _odds(joint, _KEY_BITS[states], 0.5, cfg).mean(axis=0)
+
+
 def simulate_session(
     cfg: NoiseConfig,
     sweep_setting: RotatorSetting,
@@ -212,14 +198,14 @@ def simulate_session(
     """Monte Carlo session at one rotator setting.
 
     Emitted pairs are Poisson at the pair rate, thinned by the pair
-    transmittance and apparatus efficiency.  Each array group of detected
-    pairs goes once through the exact pipeline (`evolve_rows`), is read in
-    each row's own basis (`read_rows`) and is sorted by one multinomial
-    draw: test round inside or outside S, unsifted key round, sifted right
-    or wrong (Bob's basis matches with 1/2), or not conclusive.
-    Accidental coincidences arrive at the accidental rate and are sorted as
-    one more row, a uniformly random detector pattern that is never sifted
-    away.
+    transmittance and apparatus efficiency.  Each detected pair is sorted
+    over six outcomes: test round inside or outside S, unsifted key round,
+    sifted right or wrong (Bob's basis matches with 1/2), or not conclusive.
+    'none' and 'flip_half' sort all of them with one multinomial draw over
+    their mean odds (`_mean_odds`); 'haar' reads each pair's own row, with
+    a fresh Haar B, through the array engine.  Accidental coincidences
+    arrive at the accidental rate and are sorted by one more draw, as a
+    uniformly random detector pattern that is never sifted away.
     """
     if not duration_s > 0.0:
         raise ValueError("duration must be positive")
@@ -230,10 +216,19 @@ def simulate_session(
     n_acc = int(rng.poisson(accidental_rate(cfg) * duration_s))
     n_det = int(rng.binomial(n_emit, p_det))
 
-    outcomes = np.zeros(6, dtype=np.int64)
-    for states, ub, masks, counts in _round_groups(scheme, u, n_det, rng):
-        joint = read_rows(evolve_rows(states, ub, masks), _BASIS_INDEX[states])
-        outcomes += rng.multinomial(counts, _odds(joint, _KEY_BITS[states], 0.5, cfg)).sum(axis=0)
+    if scheme != "haar":
+        outcomes = rng.multinomial(n_det, _mean_odds(cfg, u, scheme))
+    else:  # _HAAR_BLOCK rows at a time, sorted in slices: the stream is that of whole groups
+        outcomes = np.zeros(6, dtype=np.int64)
+        for start in range(0, n_det, _HAAR_BLOCK):
+            ub = haar_matrices(rng, min(_HAAR_BLOCK, n_det - start), u)
+            states = rng.integers(4, size=len(ub))
+            rng.integers(4, size=len(ub))  # Bob's masks: no P(block, bit) reads them, but the
+            # draw keeps the seeded stream of 'haar' as it was
+            for k in range(0, len(ub), _ENGINE_ROWS):
+                s = states[k:k + _ENGINE_ROWS]
+                joint = read_rows(evolve_rows(s, ub[k:k + _ENGINE_ROWS]), _BASIS_INDEX[s])
+                outcomes += rng.multinomial(1, _odds(joint, _KEY_BITS[s], 0.5, cfg)).sum(axis=0)
     outcomes += rng.multinomial([n_acc], _accidental_odds(cfg))[0]
     test_in, test_out, unsifted, right, wrong = (int(n) for n in outcomes[:5])
 

@@ -176,21 +176,20 @@ def bob_pipeline(s: PairState, mask: PhaseMask) -> PairState:
     return tag(out, "H")
 
 
-def evolve_rows(states: np.ndarray, u: np.ndarray, masks: np.ndarray) -> np.ndarray:
+def evolve_rows(states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """N honest rounds up to detection, as an (N, 2, 3, 2, 3) amplitude array.
 
     Row n is the prepared state states[n] (an index into LogicalState) with
     Alice's tag of V, the 2x2 unitary u[n] on both photons (the channel with
-    any compensation B folded in, u @ B), the phase mask masks[n] (an index
-    into PhaseMask) and Bob's tag of H.  Only the tagged support is rotated,
-    and each product, times its mask phase, is written straight into the
-    cells Bob's delay moves it to.  Unlike the PairState pipelines it checks
-    nothing: its inputs are built.
+    any compensation B folded in, u @ B) and Bob's tag of H.  Bob's phase
+    mask is left out: within each block it is a global phase, so it moves no
+    entry of `read_rows`.  Only the tagged support is rotated, and each
+    product is written straight into the cells Bob's delay moves it to.
+    Unlike the PairState pipelines it checks nothing: its inputs are built.
     """
-    phases = _MASK_PHASES[masks]
     z = np.zeros((len(states), _TAGGED[0].size), dtype=complex)
     for (j, l), x, cells in _SUPPORT:
-        z[:, cells] = x[states][:, None, None] * u[:, :, j, None] * u[:, None, :, l] * phases
+        z[:, cells] = x[states][:, None, None] * u[:, :, j, None] * u[:, None, :, l]
     return z.reshape((len(states),) + _TAGGED.shape[1:])
 
 
@@ -215,9 +214,11 @@ def read_rows(amps: np.ndarray, bases: np.ndarray) -> np.ndarray:
 
 
 def evolve(l: LogicalState, u: CollectiveRotation, mask: PhaseMask = PhaseMask.ZERO) -> PairState:
-    """One honest round up to detection, through the engine sessions run."""
-    row = evolve_rows(np.array([_STATES.index(l)]), u.matrix[None], np.array([mask.value]))
-    return PairState(row[0])
+    """One honest round up to detection: the engine's row, times Bob's mask phase."""
+    row = evolve_rows(np.array([_STATES.index(l)]), u.matrix[None]).reshape(-1)
+    for _, _, cells in _SUPPORT:
+        row[cells] *= _MASK_PHASES[mask.value]
+    return PairState(row.reshape(_TAGGED.shape[1:]))
 
 
 def coincident_split(s: PairState) -> tuple[float, dict[str, float]]:

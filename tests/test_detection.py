@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfqkd import detection
-from rfqkd.channel import RotatorSetting, from_waveplates, randomized_survival, sweep_settings
+from rfqkd.channel import (
+    RotatorSetting,
+    from_waveplates,
+    haar_matrices,
+    randomized_survival,
+    sweep_settings,
+)
 from rfqkd.detection import (
     NoiseConfig,
     accidental_error_contribution,
@@ -24,8 +30,29 @@ from rfqkd.detection import (
     transmittance,
     visibility_envelope,
 )
+from rfqkd.protocol import _MASK_PHASES, evolve_rows, read_rows
 
 SETTINGS = sweep_settings()
+
+
+def mean_rates(cfg: NoiseConfig, setting: RotatorSetting, scheme: str):
+    """Conclusive rate, sifted rate and QBER of a fixed scheme from `_mean_odds`
+    scaled by the detected-pair rate, plus the accidental row at its rate."""
+    p_det = cfg.apparatus_efficiency * transmittance(cfg) ** 2
+    u = from_waveplates(setting).matrix
+    rates = (cfg.pair_rate_hz * p_det * detection._mean_odds(cfg, u, scheme)
+             + accidental_rate(cfg) * detection._accidental_odds(cfg)[0])
+    return rates[:5].sum(), rates[3] + rates[4], rates[4] / (rates[3] + rates[4])
+
+
+def assert_exact_means(cfg: NoiseConfig, setting: RotatorSetting, scheme: str):
+    """The means a fixed-scheme session draws from are the closed forms within
+    1e-12 relative."""
+    survival = randomized_survival(from_waveplates(setting), scheme)
+    conclusive, sifted, qber = mean_rates(cfg, setting, scheme)
+    assert conclusive == pytest.approx(expected_conclusive_rate(cfg, survival), rel=1e-12)
+    assert sifted == pytest.approx(expected_sifted_rate(cfg, survival), rel=1e-12)
+    assert qber == pytest.approx(expected_qber(cfg, survival), rel=1e-12)
 
 
 class TestTransmittance:
@@ -235,6 +262,19 @@ class TestSimulateSession:
 
 
 class TestOracleAgreement:
+    """Random configs: the means of each session, exactly, and the session itself.
+
+    Each session aims at 3.2e5 sifted bits; a fixed-scheme session costs the
+    same whatever its length.  Its conclusive count and QBER are held to
+    |z| < Z_BOUND: with 40 such asserts per run, a correct program fails one
+    with probability at most 40 * P(|N(0, 1)| >= 4.9) = 3.8e-5, whatever the
+    seed or the order of random draws.  One sigma at 3.2e5 bits is a quarter
+    of one at 2e4 bits, so the bound is about 1.2 sigmas of a 2e4-bit
+    session: tighter than a 3-sigma test of sessions that size.
+    """
+
+    Z_BOUND = 4.9
+
     def test_monte_carlo_matches_analytic_for_random_configs(self):
         rng = np.random.default_rng(2024)
         for trial in range(20):
@@ -252,18 +292,46 @@ class TestOracleAgreement:
             )
             setting = SETTINGS[int(rng.integers(len(SETTINGS) - 1))]
             scheme = ("none", "flip_half")[int(rng.integers(2))]
+            assert_exact_means(cfg, setting, scheme)
             survival = randomized_survival(from_waveplates(setting), scheme)
-            # aim for about 2e4 sifted bits per config
-            duration = 2.0e4 / expected_sifted_rate(cfg, survival)
+            duration = 3.2e5 / expected_sifted_rate(cfg, survival)
             tally = simulate_session(cfg, setting, scheme, duration, rng)
 
             lam = expected_conclusive_rate(cfg, survival) * duration
-            assert abs(tally.conclusive - lam) < 3 * math.sqrt(lam), f"rate, trial {trial}"
+            z = (tally.conclusive - lam) / math.sqrt(lam)
+            assert abs(z) < self.Z_BOUND, f"rate, trial {trial}, z = {z:.2f}"
 
-            qber = tally.errors / tally.sifted
             e = expected_qber(cfg, survival)
-            sigma = math.sqrt(e * (1.0 - e) / tally.sifted)
-            assert abs(qber - e) < 3 * sigma, f"qber, trial {trial}"
+            z = (tally.errors / tally.sifted - e) / math.sqrt(e * (1.0 - e) / tally.sifted)
+            assert abs(z) < self.Z_BOUND, f"qber, trial {trial}, z = {z:.2f}"
+
+
+_WAVEPLATES = st.builds(RotatorSetting, *[st.floats(-360.0, 360.0)] * 3)
+_CONFIGS = st.builds(
+    NoiseConfig,
+    pair_rate_hz=st.floats(0.0, 1e6), apparatus_efficiency=st.floats(1e-6, 1.0),
+    fiber_length_km=st.floats(0.0, 100.0), atten_db_per_km=st.floats(0.0, 10.0),
+    extra_loss_db=st.floats(0.0, 30.0), singles_rate_hz=st.floats(1.0, 1e5),
+    window_ns=st.floats(0.1, 10.0), source_error_prob=st.floats(0.0, 0.5),
+    visibility=st.floats(0.01, 1.0), ps_sample_fraction=st.floats(0.0, 0.99),
+)
+
+
+class TestMeanOddsExact:
+    """The one home of a fixed scheme's means, `_mean_odds`, against the closed
+    forms: the exact check that no seed or draw order can re-roll."""
+
+    @pytest.mark.parametrize("scheme", ["none", "flip_half"])
+    @pytest.mark.parametrize("preset", [NoiseConfig.four_meter, NoiseConfig.one_km])
+    @pytest.mark.parametrize("k", range(len(SETTINGS)))
+    def test_presets_at_the_sweep_settings(self, scheme, preset, k):
+        assert_exact_means(preset(), SETTINGS[k], scheme)
+
+    @pytest.mark.parametrize("scheme", ["none", "flip_half"])
+    @settings(deadline=None, max_examples=60)
+    @given(_CONFIGS, _WAVEPLATES)
+    def test_random_configs_and_waveplates(self, scheme, cfg, setting):
+        assert_exact_means(cfg, setting, scheme)
 
 
 class TestVisibilityEnvelope:
@@ -374,7 +442,7 @@ _NOISE = st.builds(NoiseConfig, ps_sample_fraction=st.floats(0.0, 0.99),
 
 class TestOutcomeOdds:
     """`_odds` is bit-identical to the first form: a one-ulp change would re-roll
-    the exact p = 1/2 binomial splits of the accidentals and the fixed schemes."""
+    the exact p = 1/2 binomial split of the accidentals' sifted bits."""
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.sampled_from([0.5, 1.0]), _NOISE)
@@ -398,9 +466,41 @@ class TestOutcomeOdds:
         assert odds[0, 3] == odds[0, 4]  # sifted right and wrong equally likely
 
     @pytest.mark.parametrize("scheme", ["none", "flip_half"])
-    @given(*[st.floats(-360.0, 360.0)] * 3)
-    def test_fixed_rotations_equal_one_product_per_row(self, scheme, qwp1, hwp, qwp2):
-        u = from_waveplates(RotatorSetting(qwp1, hwp, qwp2)).matrix
-        _, rotations, _, _ = next(detection._round_groups(scheme, u, 10, np.random.default_rng(0)))
-        _, k, _, _ = detection._FIXED_ROWS[scheme]
-        assert np.array_equal(rotations, u @ detection._COMPENSATIONS[scheme][k])
+    @given(_NOISE, _WAVEPLATES)
+    def test_fixed_rotations_equal_one_product_per_row(self, scheme, cfg, setting):
+        # `_mean_odds` forms u @ B once per B and indexes it; each row's own
+        # product gives the same odds bit for bit
+        u = from_waveplates(setting).matrix
+        states, k = detection._FIXED_ROWS[scheme]
+        rows = evolve_rows(states, u @ detection._COMPENSATIONS[scheme][k])
+        joint = read_rows(rows, detection._BASIS_INDEX[states])
+        odds = detection._odds(joint, detection._KEY_BITS[states], 0.5, cfg)
+        assert np.array_equal(detection._mean_odds(cfg, u, scheme), odds.mean(axis=0))
+
+    @pytest.mark.parametrize("scheme, size", [("none", 4), ("flip_half", 8)])
+    def test_fixed_rows_hold_every_state_and_b_once(self, scheme, size):
+        states, k = detection._FIXED_ROWS[scheme]
+        pairs = set(zip(states.tolist(), k.tolist()))
+        assert len(states) == len(pairs) == size
+        assert pairs == {(s, b) for s in range(4) for b in range(size // 4)}
+
+
+class TestPhaseMaskInvariance:
+    """The engine leaves Bob's mask out: within each block `read_rows` reads on
+    its own the mask is a global phase, so multiplying any of the four mask
+    phases into the rows moves P(block, bit) by at most 1e-15 and no odd at all."""
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(0, 2**32 - 1), _NOISE)
+    def test_masks_move_no_odds(self, seed, cfg):
+        rng = np.random.default_rng(seed)
+        states = rng.integers(4, size=128)
+        setting = SETTINGS[int(rng.integers(len(SETTINGS)))]
+        rows = evolve_rows(states, haar_matrices(rng, 128, from_waveplates(setting).matrix))
+        bases, key_bits = detection._BASIS_INDEX[states], detection._KEY_BITS[states]
+        joint = read_rows(rows, bases)
+        odds = detection._odds(joint, key_bits, 0.5, cfg)
+        for phases in _MASK_PHASES:
+            masked = read_rows(rows * phases[:, None, :, None], bases)
+            assert np.max(np.abs(masked - joint)) <= 1e-15
+            assert np.array_equal(detection._odds(masked, key_bits, 0.5, cfg), odds)

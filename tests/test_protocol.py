@@ -13,6 +13,7 @@ from rfqkd.channel import CollectiveRotation, haar_matrices, haar_sample, surviv
 from rfqkd.protocol import (
     _BASIS_I_TRANSFORM,
     _BITS,
+    _MASK_PHASES,
     _READ,
     COINCIDENT_PAIRS,
     HADAMARD,
@@ -470,6 +471,12 @@ class TestLocalRotationsStayInS:
                 assert weights.get("S", 0.0) == pytest.approx(p_conc, abs=1e-12)
 
 
+def masked(rows, masks):
+    """Engine rows with Bob's phase mask masks[n] (an index into PhaseMask)
+    multiplied into every output (pol1, pol2) of row n."""
+    return rows * _MASK_PHASES[masks][:, :, None, :, None]
+
+
 # every (state, mask) pair as engine rows, each read in both bases
 _ROW_STATES, _ROW_MASKS = np.indices((4, 4)).reshape(2, -1)
 
@@ -478,10 +485,11 @@ class TestArrayEngineMatchesScalarChain:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["identity", "flip"]))
     def test_rows_match_chain_amplitudes_and_reads(self, seed, b_choice):
-        # the compensation B is folded into the engine's rotation as U @ B
+        # the compensation B is folded into the engine's rotation as U @ B, and
+        # Bob's mask, which the engine leaves out, is multiplied in here
         u = haar_sample(np.random.default_rng(seed))
         u_eff = u.matrix @ (FLIP.matrix if b_choice == "flip" else np.eye(2))
-        rows = evolve_rows(_ROW_STATES, np.broadcast_to(u_eff, (16, 2, 2)), _ROW_MASKS)
+        rows = masked(evolve_rows(_ROW_STATES, np.broadcast_to(u_eff, (16, 2, 2))), _ROW_MASKS)
         for b, basis in enumerate(BasisChoice):
             joint = read_rows(rows, np.full(16, b))
             for n, (state, mask) in enumerate(zip(_ROW_STATES, _ROW_MASKS)):
@@ -500,10 +508,13 @@ class TestArrayEngineMatchesScalarChain:
 
     def test_evolve_is_one_engine_row(self):
         u = haar_sample(np.random.default_rng(3))
-        for state in LogicalState:
+        for n, state in enumerate(LogicalState):
+            row = evolve_rows(np.array([n]), u.matrix[None])
+            assert np.array_equal(evolve(state, u).amplitudes, row[0])
             for mask in PhaseMask:
                 engine = evolve(state, u, mask).amplitudes
                 assert np.max(np.abs(engine - evolved(state, u=u, mask=mask).amplitudes)) <= 1e-12
+                assert np.array_equal(engine, masked(row, np.array([mask.value]))[0])
 
 
 def _chain_joint(s, basis):
@@ -522,7 +533,7 @@ class TestEngineRowsAreIndependent:
     """A batch mixing rotations, compensations, states, masks and bases gives
     every row exactly what that row gives alone and through the scalar chain."""
 
-    N = 300  # a multiple of neither the 16 fixed-scheme rows nor the 256-row Haar groups
+    N = 300  # a multiple of neither the 8 flip_half rows nor the 128-row Haar slices
 
     @pytest.fixture(scope="class")
     def batch(self):
@@ -531,7 +542,7 @@ class TestEngineRowsAreIndependent:
         flips, states, masks, bases = rng.integers((2, 4, 4, 2), size=(self.N, 4)).T
         u = np.array([r.matrix @ (FLIP.matrix if f else np.eye(2))
                       for r, f in zip(rotations, flips)])
-        rows = evolve_rows(states, u, masks)
+        rows = evolve_rows(states, u)
         return rotations, flips, states, masks, bases, u, rows, read_rows(rows, bases)
 
     def test_each_row_matches_its_own_call_and_the_chain(self, batch):
@@ -542,9 +553,9 @@ class TestEngineRowsAreIndependent:
             one = slice(n, n + 1)
             chain = evolved(list(LogicalState)[states[n]], ("identity", "flip")[flips[n]],
                             rotations[n], list(PhaseMask)[masks[n]])
-            alone = evolve_rows(states[one], u[one], masks[one])[0]
+            alone = evolve_rows(states[one], u[one])[0]
             assert np.max(np.abs(rows[n] - alone)) <= 1e-12
-            assert np.max(np.abs(rows[n] - chain.amplitudes)) <= 1e-12
+            assert np.max(np.abs(masked(rows[one], masks[one])[0] - chain.amplitudes)) <= 1e-12
             assert np.max(np.abs(joint[n] - read_rows(rows[one], bases[one])[0])) <= 1e-12
             reference = _chain_joint(chain, list(BasisChoice)[bases[n]])
             assert np.max(np.abs(joint[n] - reference)) <= 1e-12
@@ -552,15 +563,14 @@ class TestEngineRowsAreIndependent:
     def test_strided_and_broadcast_inputs(self, batch):
         _, _, states, masks, bases, u, rows, joint = batch
         assert np.max(np.abs(read_rows(rows[::3], bases[::3]) - joint[::3])) <= 1e-12
-        assert np.max(np.abs(evolve_rows(states[::2], u[::2], masks[::2]) - rows[::2])) <= 1e-12
-        shared = evolve_rows(states, np.broadcast_to(u[0], u.shape), masks)
+        assert np.max(np.abs(evolve_rows(states[::2], u[::2]) - rows[::2])) <= 1e-12
+        shared = evolve_rows(states, np.broadcast_to(u[0], u.shape))
         for n in range(0, self.N, 37):
-            own = evolve_rows(states[n:n + 1], u[:1], masks[n:n + 1])[0]
+            own = evolve_rows(states[n:n + 1], u[:1])[0]
             assert np.max(np.abs(shared[n] - own)) <= 1e-12
 
     def test_no_rows(self):
-        rows = evolve_rows(np.zeros(0, dtype=int), np.zeros((0, 2, 2), dtype=complex),
-                           np.zeros(0, dtype=int))
+        rows = evolve_rows(np.zeros(0, dtype=int), np.zeros((0, 2, 2), dtype=complex))
         assert rows.shape == (0, 2, 3, 2, 3)
         assert read_rows(rows, np.zeros(0, dtype=int)).shape == (0, 3, 2)
 
@@ -594,7 +604,8 @@ class TestReadRowsBitIdentical:
     def test_engine_rows(self, seed):
         rng = np.random.default_rng(seed)
         states, masks, bases = rng.integers(4, size=(3, 256)) % [[4], [4], [2]]
-        rows = evolve_rows(states, haar_matrices(rng, 256), masks)
-        assert np.array_equal(read_rows(rows, bases), _read_rows_reference(rows, bases))
-        assert np.array_equal(read_rows(rows[::3], bases[::3]),
-                              _read_rows_reference(rows[::3], bases[::3]))
+        unmasked = evolve_rows(states, haar_matrices(rng, 256))
+        for rows in (unmasked, masked(unmasked, masks)):
+            assert np.array_equal(read_rows(rows, bases), _read_rows_reference(rows, bases))
+            assert np.array_equal(read_rows(rows[::3], bases[::3]),
+                                  _read_rows_reference(rows[::3], bases[::3]))

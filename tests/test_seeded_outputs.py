@@ -4,8 +4,10 @@ A seeded run must give byte-identical output each time it is repeated
 (ROADMAP aim 2), and a change that only makes the simulator faster must
 leave those bytes alone.  Each case runs `cli.main` in-process from a
 temporary directory and compares the sha256 of what it writes with the
-digest recorded below; the digests were written by the code at 25d9c97
-with the same arguments.
+digest recorded below, written with the same arguments: the `haar`
+digests by the code at 25d9c97, the `none` and `flip_half` ones by the code
+that first drew each fixed-scheme session with one multinomial over its
+mean odds.
 
 A change that alters the order of random draws changes these bytes on
 purpose.  It updates the digests and records that in CHANGES.md, as ROADMAP
@@ -23,21 +25,21 @@ _SCALED = ["--seed", "1", "--duration-scale", "0.05"]
 # (output file, CLI arguments, sha256 of the file)
 _WRITTEN = [
     ("sweep_4m_7.csv", ["sweep", "--preset", "4m", "--seed", "7", "--format", "csv"],
-     "c3bdf8c002167366bef484b9d04cddb1cd326c00b6d6dc0e7be8010cbd6f5b32"),
+     "68af8ee58ee809102eee7ef5c62d42613e90e17b78313cdb7026e0690712e75e"),
     ("sweep_4m_7.json", ["sweep", "--preset", "4m", "--seed", "7", "--format", "json"],
-     "4ad192ff7d56a20a72a049e14f255c7ea6e38d9e4b9280a4604e8497fb832951"),
+     "c64e21f59be6ec634e195ad0f2d497e25994ae45febeb6dc20cca38d9b90b83b"),
     ("sweep_1km_7.csv", ["sweep", "--preset", "1km", "--seed", "7", "--format", "csv"],
-     "c3b8e218e3c455f0d698cdbc1cd36819178a9d555195486d1bc6a821ead3193c"),
+     "50797742b75de3b2003927ee3f4fcaeac3c02a68dfead54c67d13545b0424156"),
     ("sweep_1km_7.json", ["sweep", "--preset", "1km", "--seed", "7", "--format", "json"],
-     "234e0452fb25f9be1b7b16b2acc2a8bc7bb0553972b0dbe2ff2ea5051558c378"),
+     "b5c0edb0cc5fc156e615396a6a51dc680480d42fa3a48a18510dcd513e58f394"),
     ("none_1.csv", ["sweep", "--scheme", "none", *_SCALED, "--format", "csv"],
-     "be4502ae025ba993d7dd5116b082fa3d14798fa6c99a8e08edfc53974719070c"),
+     "cfb19aefd0d48fc236b9ae4bf1a9b26a3c66a8143c884d83d2037d1dab8440be"),
     ("none_1.json", ["sweep", "--scheme", "none", *_SCALED, "--format", "json"],
-     "49b04560e873381022d25d0e051b043f316c53485f8492a8a6048b436a9deeb8"),
+     "7dce6dc0a1f355e85919c89ba50bfa8b106d797710a4330374483eb21c2d86e9"),
     ("flip_half_1.csv", ["sweep", "--scheme", "flip_half", *_SCALED, "--format", "csv"],
-     "be7c51993effd981d39f2bb7d4b484946850e1fc3d468f3d40eda146a3e5ef7d"),
+     "508f714c1fe5a09f84aa878f396809f4bcfbe616489c97326e8a1ab9bc1641b1"),
     ("flip_half_1.json", ["sweep", "--scheme", "flip_half", *_SCALED, "--format", "json"],
-     "56d8f62abde68670998b41e54d3dc196da00ca5ea554896141447f00ce4d49f2"),
+     "2b9eea22d3f5c50719b7ead09dfef8d1b1b3bde5d7890ef97429a2bf21104d77"),
     ("haar_1.csv", ["sweep", "--scheme", "haar", *_SCALED, "--format", "csv"],
      "e10d85f492a664a76d3998877510549b5af5c8f74caf3f82d945c407d3a30a45"),
     ("haar_1.json", ["sweep", "--scheme", "haar", *_SCALED, "--format", "json"],
@@ -46,10 +48,10 @@ _WRITTEN = [
 # `single` per scheme at the default config: sha256 of its tally file, then of
 # what `keyrate` prints for that file
 _SINGLE = {
-    "none": ("d579567475adfff98f32120259cb9cebfc962fd14f6cfbd9262304840f9adfc8",
-             "fd9e7029b24da1988afddb533a6fd7517d89b26beee7b7bbacc5dc0355a62c87"),
-    "flip_half": ("69b4bb8467712cc52fcea12599656af40a0e13ec369361e83907c0d55136e9f9",
-                  "41d57f7a81bed5901f334c26c2e80f8170f83905c8bf8be1e366c09af6210d01"),
+    "none": ("a305b5653a083360ced19bf68edce2c845ba9ac6edba5ae1105b2cb7bf75bd61",
+             "76cf020847145448267a73d35db7e6c8b62c3fed71ac3b84ae338f139e024e50"),
+    "flip_half": ("ee016b34ac9f4f2b556d47f4e88e2d9b59cacee9d065ebceb79d86c6d0b18804",
+                  "05d1e2b652a1e32b92572fba78f0a8436161eac08d4dfec0e88e80f879507dd0"),
     "haar": ("c0c02b0216ab330775a89cb90ad695ce9f2560c4cd4e91b2ccd5807073925249",
              "bf78fa6a0f3533f9d4b948993bd791e4bcb3ab5c599e492c20a007bc5ddad770"),
 }

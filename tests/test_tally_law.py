@@ -1,9 +1,10 @@
 """Exact counting law of a session tally.
 
 Every emitted pair and every accidental is sorted independently of the
-others (multinomially over the round configurations for 'none' and
-'flip_half', by its own Haar rotation for 'haar', then by one multinomial
-draw over the round outcomes), so by Poisson splitting the five disjoint
+others over the round outcomes (for 'none' and 'flip_half' by one
+multinomial draw over the mean odds of their equally likely round
+configurations, for 'haar' by its own Haar rotation and a draw over that
+row's odds), so by Poisson splitting the five disjoint
 tally categories are independent Poisson counts.  Their means follow from
 the public closed forms.  A defect that keeps the means but shares a draw
 between pairs, or sorts with the wrong odds, shows here as

@@ -10,8 +10,9 @@ sessions for every scheme, preset (4m, 1km) and sweep setting, each from
 its own seed.  Durations cycle through 1-8 s at 4 m and 100-800 s at 1 km,
 so a `haar` session spans one to five 256-row groups and the 1 km
 sessions see accidentals.  The script prints how many tallies differ per
-scheme and exits with 1 if any does: a change that claims to keep every
-random draw must read 0.
+scheme and exits with 1 if any does.  The claim holds per scheme: a change
+that keeps every random draw of a scheme must read 0 for it, even where
+the change re-orders the draws of another scheme (and so exits with 1).
 """
 
 from __future__ import annotations
