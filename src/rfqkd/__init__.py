@@ -34,7 +34,6 @@ from .harness import DEFAULT_SEED, ExperimentConfig, SweepRow, emit, run_sweep, 
 from .hilbert import (
     PairDensity,
     PairState,
-    PhotonMode,
     apply_pol_unitary,
     density_average,
     fidelity,

@@ -178,14 +178,19 @@ def _accidental_odds(cfg: NoiseConfig) -> np.ndarray:
     return odds
 
 
+def _row_odds(cfg: NoiseConfig, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`_odds` (N, 6) of engine rows: state indices and effective rotations u (N, 2, 2)."""
+    joint = read_rows(evolve_rows(states, u), _BASIS_INDEX[states])
+    return _odds(joint, _KEY_BITS[states], 0.5, cfg)
+
+
 def _mean_odds(cfg: NoiseConfig, u: np.ndarray, scheme: Scheme) -> np.ndarray:
     """Odds (6,) of one detected pair of a fixed scheme: `_odds` averaged over
     its equally likely rows (`_FIXED_ROWS`), B folded into the channel u."""
     if scheme not in _FIXED_ROWS:
         raise ValueError(f"unknown scheme {scheme!r}")
     states, k = _FIXED_ROWS[scheme]
-    joint = read_rows(evolve_rows(states, (u @ _COMPENSATIONS[scheme])[k]), _BASIS_INDEX[states])
-    return _odds(joint, _KEY_BITS[states], 0.5, cfg).mean(axis=0)
+    return _row_odds(cfg, states, (u @ _COMPENSATIONS[scheme])[k]).mean(axis=0)
 
 
 def simulate_session(
@@ -226,9 +231,8 @@ def simulate_session(
             rng.integers(4, size=len(ub))  # Bob's masks: no P(block, bit) reads them, but the
             # draw keeps the seeded stream of 'haar' as it was
             for k in range(0, len(ub), _ENGINE_ROWS):
-                s = states[k:k + _ENGINE_ROWS]
-                joint = read_rows(evolve_rows(s, ub[k:k + _ENGINE_ROWS]), _BASIS_INDEX[s])
-                outcomes += rng.multinomial(1, _odds(joint, _KEY_BITS[s], 0.5, cfg)).sum(axis=0)
+                odds = _row_odds(cfg, states[k:k + _ENGINE_ROWS], ub[k:k + _ENGINE_ROWS])
+                outcomes += rng.multinomial(1, odds).sum(axis=0)
     outcomes += rng.multinomial([n_acc], _accidental_odds(cfg))[0]
     test_in, test_out, unsifted, right, wrong = (int(n) for n in outcomes[:5])
 

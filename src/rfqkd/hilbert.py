@@ -1,9 +1,9 @@
 """Exact complex-amplitude algebra for two-photon polarization x time-bin states.
 
-A photon mode is a polarization (H or V) together with a discrete time bin
-counting how many tag delays T the photon has accumulated (0, 1 or 2; a
-photon is delayed at most twice, once per tagging interferometer).  A pair
-state is a 36-entry complex amplitude vector indexed by
+A photon mode is a ``(pol, bin)`` tuple: polarization 'H' or 'V' and a
+time bin counting how many tag delays T the photon has accumulated (0, 1
+or 2; a photon is delayed at most twice, once per tagging interferometer).
+A pair state is a 36-entry complex amplitude vector indexed by
 (pol1, bin1, pol2, bin2), where photon 1 is the early photon of the 6 ns
 pair label.  All operations here are pure and linear; states are immutable
 after construction.
@@ -12,7 +12,7 @@ after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence, Union
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -26,44 +26,21 @@ EIGENVALUE_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PhotonMode:
-    """Single-photon mode: polarization 'H' or 'V' and time bin 0, 1 or 2."""
-
-    pol: str
-    bin: int
-
-    def __post_init__(self):
-        if self.pol not in POLS:
-            raise ValueError(f"polarization must be 'H' or 'V', got {self.pol!r}")
-        if self.bin not in (0, 1, 2):
-            raise ValueError(f"time bin must be 0, 1 or 2, got {self.bin!r}")
-
-    @classmethod
-    def parse(cls, spec: "ModeLike") -> "PhotonMode":
-        """Coerce 'H0'-style strings, (pol, bin) tuples or PhotonMode."""
-        if isinstance(spec, PhotonMode):
-            return spec
-        if isinstance(spec, str):
-            if len(spec) != 2:
-                raise ValueError(f"mode string must look like 'H0', got {spec!r}")
-            return cls(spec[0], int(spec[1]))
-        pol, b = spec
-        return cls(pol, int(b))
-
-    @property
-    def index(self) -> tuple[int, int]:
-        return POLS.index(self.pol), self.bin
-
-
-ModeLike = Union[PhotonMode, str, tuple]
-ModePair = tuple[ModeLike, ModeLike]
+ModePair = tuple[tuple[str, int], tuple[str, int]]  # ((pol1, bin1), (pol2, bin2))
 
 NormKind = Literal["normalized", "subnormalized"]
 
+_MODE_INDEX = {(pol, b): (p, b) for p, pol in enumerate(POLS) for b in range(N_BINS)}
+
 
 def _pair_index(pair: ModePair) -> tuple[int, int, int, int]:
-    return PhotonMode.parse(pair[0]).index + PhotonMode.parse(pair[1]).index
+    """Amplitude index (pol1, bin1, pol2, bin2) of a mode pair: the one check of a mode."""
+    first, second = pair
+    try:
+        return _MODE_INDEX[first] + _MODE_INDEX[second]
+    except KeyError as missing:
+        raise ValueError(f"a mode is a (pol, bin) tuple with pol 'H' or 'V' and bin 0, 1 or 2, "
+                         f"got {missing.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -112,14 +89,13 @@ class PairState:
         return PairState(self.amplitudes / np.sqrt(n2), "normalized")
 
 
-def pure_state(assignments: Mapping[ModePair, complex] | Iterable[tuple[ModePair, complex]]) -> PairState:
+def pure_state(assignments: Mapping[ModePair, complex]) -> PairState:
     """Build a normalized pair state from {(mode1, mode2): amplitude} assignments.
 
     Raises ValueError if every assigned amplitude is zero.
     """
-    items = assignments.items() if isinstance(assignments, Mapping) else assignments
     amps = np.zeros((2, N_BINS, 2, N_BINS), dtype=complex)
-    for pair, value in items:
+    for pair, value in assignments.items():
         amps[_pair_index(pair)] = value
     n2 = float(np.sum(np.abs(amps) ** 2))
     if n2 <= 0.0:
@@ -176,7 +152,7 @@ def tag(s: PairState, pol_to_delay: str) -> PairState:
     return PairState(out, s.norm_kind)
 
 
-def project(s: PairState, modes: Iterable[ModePair]) -> tuple[PairState, float]:
+def project(s: PairState, modes: Sequence[ModePair]) -> tuple[PairState, float]:
     """Project onto a set of (mode, mode) basis kets.
 
     Returns the unnormalized projected state (norm_kind 'subnormalized')

@@ -77,7 +77,7 @@ class PhaseMask(enum.Enum):
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.diag([1.0, np.exp(1.0j * self.phi)])
+        return np.diag([1.0, 1j ** self.value])  # exact: exp(i phi) would leave 1e-16 real parts
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ _MASK_PHASES = np.array([np.outer(np.diag(m.matrix), np.diag(m.matrix)) for m in
 
 
 # pure_state rescales: alpha_beta's rounded 1/sqrt(2) leaves the norm 2 ulp short
-_PREPARED = {l: pure_state(zip(((("H", 0), ("V", 0)), (("V", 0), ("H", 0))), l.alpha_beta))
+_PREPARED = {l: pure_state(dict(zip(((("H", 0), ("V", 0)), (("V", 0), ("H", 0))), l.alpha_beta)))
              for l in LogicalState}
 # Alice's tag of V on each prepared state: the fixed start of every round
 _TAGGED = np.array([tag(_PREPARED[l], "V").amplitudes for l in _STATES])

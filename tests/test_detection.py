@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfqkd import detection
@@ -492,6 +492,9 @@ class TestPhaseMaskInvariance:
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 2**32 - 1), _NOISE)
+    # no intrinsic flip: a sifted-wrong odd is then only the engine's rounding
+    # residue, which a mask phase that is not an exact quarter turn moves
+    @example(0, NoiseConfig(source_error_prob=0.0, visibility=1.0))
     def test_masks_move_no_odds(self, seed, cfg):
         rng = np.random.default_rng(seed)
         states = rng.integers(4, size=128)

@@ -1,5 +1,7 @@
 """Exact-algebra tests for the two-photon state module."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from rfqkd import hilbert
 from rfqkd.hilbert import (
     PairDensity,
     PairState,
-    PhotonMode,
     apply_pol_unitary,
     density_average,
     fidelity,
@@ -50,17 +51,39 @@ def haar_su2(rng):
     return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
-class TestPhotonMode:
-    def test_parse_forms(self):
-        assert PhotonMode.parse("H0") == PhotonMode("H", 0)
-        assert PhotonMode.parse(("V", 2)) == PhotonMode("V", 2)
-        assert PhotonMode.parse(PhotonMode("V", 1)).bin == 1
+_MIXED = random_state(np.random.default_rng(23))
+
+# every public entry point that takes a mode pair, called with one pair
+MODE_ENTRY_POINTS = {
+    "pure_state": lambda pair: pure_state({pair: 1.0, (("H", 0), ("V", 0)): 0.5}).amplitudes,
+    "project": lambda pair: project(_MIXED, [pair, (("V", 0), ("H", 0))])[0].amplitudes,
+    "amplitude": lambda pair: _MIXED.amplitude(pair),
+    "element_ket": lambda pair: PairDensity.from_state(_MIXED).element(pair, (("V", 1), ("H", 1))),
+    "element_bra": lambda pair: PairDensity.from_state(_MIXED).element((("V", 1), ("H", 1)), pair),
+}
+
+
+class TestModeCheck:
+    """A mode is a (pol, bin) tuple; every entry point rejects any other and names it."""
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            PhotonMode("H", 3)
-        with pytest.raises(ValueError):
-            PhotonMode("X", 0)
+        for read in MODE_ENTRY_POINTS.values():
+            for pair, bad in (
+                ((("X", 0), ("V", 0)), "('X', 0)"),
+                ((("H", 0), ("V", 3)), "('V', 3)"),
+                ((("H", -1), ("V", 0)), "('H', -1)"),
+                (("H0", "V1"), "'H0'"),
+            ):
+                with pytest.raises(ValueError, match=re.escape(f"got {bad}")):
+                    read(pair)
+
+    @pytest.mark.parametrize("entry", MODE_ENTRY_POINTS)
+    def test_numpy_integer_bins_accepted(self, entry):
+        read = MODE_ENTRY_POINTS[entry]
+        for p1, b1, p2, b2 in (("H", 1, "V", 2), ("V", 2, "V", 0), ("H", 0, "H", 1)):
+            expected = read(((p1, b1), (p2, b2)))
+            assert np.array_equal(read(((p1, np.int64(b1)), (p2, np.int64(b2)))), expected)
+            assert np.array_equal(read(((p1, np.int8(b1)), (p2, b2))), expected)
 
 
 class TestPureState:
