@@ -46,8 +46,7 @@ class CollectiveRotation:
 
     @property
     def matrix(self) -> np.ndarray:
-        a, b = complex(self.a), complex(self.b)
-        return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+        return su2(self.a, self.b)
 
     @classmethod
     def identity(cls) -> "CollectiveRotation":

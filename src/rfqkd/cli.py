@@ -54,9 +54,12 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _writable(path: str) -> str:
+def _write(path: str, text: str, mode: str = "w") -> str:
+    """Write text to path, or exit with code 2; mode "a" with no text checks
+    the path before any run and keeps an existing file."""
     try:
-        open(path, "a", encoding="utf-8").close()  # before any run; keeps an existing file
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         _fail(f"cannot write output: {exc}")
     return path
@@ -75,12 +78,9 @@ def _print_rows(rows) -> None:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    path = _writable(args.out or "sweep_results." + args.format)
+    path = _write(args.out or "sweep_results." + args.format, "", "a")
     rows = run_sweep(cfg)
-    try:
-        emit(rows, format=args.format, path=path, config=cfg)
-    except OSError as exc:
-        _fail(f"cannot write output: {exc}")
+    _write(path, emit(rows, format=args.format, config=cfg))
     _print_rows(rows)
     print(f"wrote {path}")
     return 0
@@ -94,17 +94,12 @@ def _cmd_single(args) -> int:
         _fail(f"setting index {args.setting} out of range (0..{len(cfg.settings) - 1})")
     setting = cfg.settings[args.setting]
     scheme = cfg.schemes[0]
-    path = _writable(args.out or "session_tally.json")
+    path = _write(args.out or "session_tally.json", "", "a")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     tally = simulate_session(cfg.noise, setting, scheme, cfg.duration_s, rng)
     payload = {"config": cfg.to_dict(), "setting_index": args.setting,
                "scheme": scheme, "tally": dataclasses.asdict(tally)}
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        _fail(f"cannot write output: {exc}")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"setting {args.setting} scheme {scheme}: "
           f"{tally.conclusive} conclusive, {tally.sifted} sifted, {tally.errors} errors")
     _print_report(tally)

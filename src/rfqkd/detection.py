@@ -113,14 +113,12 @@ def accidental_error_contribution(cfg: NoiseConfig, survival: float) -> float:
 
 
 def expected_qber(cfg: NoiseConfig, survival: float) -> float:
-    """Closed-form sifted error rate (e_t * C_s + A/2) / (C_s + A)."""
+    """Closed-form sifted error rate (e_t * C_s + A/2) / (C_s + A), written as
+    e_t + (1 - 2 e_t) * `accidental_error_contribution`."""
     if not 0.0 <= survival <= 1.0:
         raise ValueError("survival must be in [0, 1]")
-    c_s = sifted_true_rate(cfg, survival)
-    a = accidental_rate(cfg)
-    if c_s + a <= 0.0:
-        return 0.5
-    return (intrinsic_error_rate(cfg) * c_s + 0.5 * a) / (c_s + a)
+    e = intrinsic_error_rate(cfg)
+    return e + (1.0 - 2.0 * e) * accidental_error_contribution(cfg, survival)
 
 
 def expected_conclusive_rate(cfg: NoiseConfig, survival: float) -> float:
@@ -212,8 +210,8 @@ def simulate_session(
     arrive at the accidental rate and are sorted by one more draw, as a
     uniformly random detector pattern that is never sifted away.
     """
-    if not duration_s > 0.0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration_s < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s!r}")
     u = from_waveplates(sweep_setting).matrix
     p_det = cfg.apparatus_efficiency * transmittance(cfg) ** 2
 
@@ -257,9 +255,14 @@ def visibility_envelope(
     """Two-photon interference visibility versus interferometer path mismatch.
 
     Gaussian envelope V0 * exp(-(dx / l_c)^2) with coherence length
-    l_c = wavelength^2 / bandwidth.
+    l_c = wavelength^2 / bandwidth.  V0 takes the range of
+    `NoiseConfig.visibility`, (0, 1].
     """
-    if filter_fwhm_nm <= 0.0 or wavelength_nm <= 0.0:
-        raise ValueError("bandwidth and wavelength must be positive")
+    if not (0.0 < filter_fwhm_nm < math.inf and 0.0 < wavelength_nm < math.inf):
+        raise ValueError("bandwidth and wavelength must be positive and finite")
+    if not 0.0 < peak_visibility <= 1.0:
+        raise ValueError(f"peak_visibility must be in (0, 1], got {peak_visibility!r}")
+    if math.isnan(path_mismatch_um):
+        raise ValueError("path mismatch must not be NaN")
     l_c_um = wavelength_nm**2 / filter_fwhm_nm / 1000.0
     return peak_visibility * math.exp(-((path_mismatch_um / l_c_um) ** 2))

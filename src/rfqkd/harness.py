@@ -131,8 +131,8 @@ def _row_from_tally(index: int, scheme: str, tally: TallyCounts) -> SweepRow:
         tally.pS_sample_inS / tally.pS_sample_total if tally.pS_sample_total > 0 else math.nan
     )
     try:
-        rate_fraction = security.report(tally).rate_fraction
-    except ValueError:  # no sifted bits, no test sample, p_S = 0 or QBER > 0.5
+        rate_fraction = security.key_rate(p_s, qber)
+    except ValueError:  # p_S = 0, QBER > 0.5, or the NaN of no sifted bits or no test sample
         rate_fraction = math.nan
     return SweepRow(
         setting_index=index,

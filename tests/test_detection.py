@@ -204,9 +204,11 @@ class TestSimulateSession:
         diff = t2.conclusive - 2 * t1.conclusive
         assert abs(diff) < 3 * math.sqrt(4 * t1.conclusive + t2.conclusive)
 
-    def test_duration_must_be_positive(self):
-        with pytest.raises(ValueError):
-            simulate_session(NoiseConfig(), SETTINGS[0], "none", 0.0, np.random.default_rng(0))
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+    def test_duration_must_be_positive(self, duration):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            simulate_session(NoiseConfig(), SETTINGS[0], "none", duration,
+                             np.random.default_rng(0))
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -354,11 +356,22 @@ class TestVisibilityEnvelope:
         vs = [visibility_envelope(float(x), 1.6, 702.0) for x in xs]
         assert all(a >= b for a, b in zip(vs, vs[1:]))
 
-    def test_invalid_inputs_rejected(self):
+    @pytest.mark.parametrize("args", [
+        pytest.param((0.0, 0.0, 702.0), id="zero-bandwidth"),
+        pytest.param((0.0, 1.6, -1.0), id="negative-wavelength"),
+        pytest.param((0.0, math.inf, 702.0), id="inf-bandwidth"),
+        pytest.param((0.0, 1.6, math.inf), id="inf-wavelength"),
+        pytest.param((0.0, math.nan, 702.0), id="nan-bandwidth"),
+        pytest.param((0.0, 1.6, math.nan), id="nan-wavelength"),
+        pytest.param((math.nan, 1.6, 702.0), id="nan-mismatch"),
+        pytest.param((0.0, 1.6, 702.0, 1.7), id="peak-above-one"),
+        pytest.param((0.0, 1.6, 702.0, -0.2), id="negative-peak"),
+        pytest.param((0.0, 1.6, 702.0, 0.0), id="zero-peak"),
+        pytest.param((0.0, 1.6, 702.0, math.nan), id="nan-peak"),
+    ])
+    def test_invalid_inputs_rejected(self, args):
         with pytest.raises(ValueError):
-            visibility_envelope(0.0, 0.0, 702.0)
-        with pytest.raises(ValueError):
-            visibility_envelope(0.0, 1.6, -1.0)
+            visibility_envelope(*args)
 
 
 class TestExpectedRates:
@@ -438,6 +451,8 @@ def _odds_reference(joint, key_bits, p_sift, cfg):
 
 _NOISE = st.builds(NoiseConfig, ps_sample_fraction=st.floats(0.0, 0.99),
                    source_error_prob=st.floats(0.0, 0.5), visibility=st.floats(0.01, 1.0))
+# the ideal apparatus, which _NOISE reaches only by chance: no intrinsic flip at all
+_IDEAL = NoiseConfig(source_error_prob=0.0, visibility=1.0)
 
 
 class TestOutcomeOdds:
@@ -446,6 +461,7 @@ class TestOutcomeOdds:
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.sampled_from([0.5, 1.0]), _NOISE)
+    @example(0, 300, 0.5, _IDEAL)
     def test_equals_the_stacked_form(self, seed, n, p_sift, cfg):
         rng = np.random.default_rng(seed)
         joint = rng.dirichlet(np.ones(7), size=n)[:, :6].reshape(n, 3, 2)
@@ -455,6 +471,7 @@ class TestOutcomeOdds:
         assert np.array_equal(odds, _odds_reference(joint, key_bits, p_sift, cfg))
 
     @given(_NOISE)
+    @example(_IDEAL)
     def test_accidental_odds_cached_read_only(self, cfg):
         odds = detection._accidental_odds(cfg)
         assert odds is detection._accidental_odds(cfg)
@@ -467,6 +484,7 @@ class TestOutcomeOdds:
 
     @pytest.mark.parametrize("scheme", ["none", "flip_half"])
     @given(_NOISE, _WAVEPLATES)
+    @example(_IDEAL, SETTINGS[2])
     def test_fixed_rotations_equal_one_product_per_row(self, scheme, cfg, setting):
         # `_mean_odds` forms u @ B once per B and indexes it; each row's own
         # product gives the same odds bit for bit
@@ -494,7 +512,7 @@ class TestPhaseMaskInvariance:
     @given(st.integers(0, 2**32 - 1), _NOISE)
     # no intrinsic flip: a sifted-wrong odd is then only the engine's rounding
     # residue, which a mask phase that is not an exact quarter turn moves
-    @example(0, NoiseConfig(source_error_prob=0.0, visibility=1.0))
+    @example(0, _IDEAL)
     def test_masks_move_no_odds(self, seed, cfg):
         rng = np.random.default_rng(seed)
         states = rng.integers(4, size=128)
