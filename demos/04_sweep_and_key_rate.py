@@ -43,7 +43,9 @@ flip_rows = [r for r in rows if r.scheme == "flip_half"]
 print(f"\n1 km flip_half average QBER: {np.mean([r.qber for r in flip_rows])*100:.2f} % "
       f"(compare the measured 10.2 %)")
 
-text = emit(rows, "csv", path="demo_sweep_1km.csv", config=cfg_1km)
+text = emit(rows, "csv", config=cfg_1km)
+with open("demo_sweep_1km.csv", "w", encoding="utf-8") as fh:
+    fh.write(text)
 print(f"wrote demo_sweep_1km.csv ({len(text.splitlines())} lines)")
 
 # --- a single long session and its security report --------------------------

@@ -49,7 +49,6 @@ from .protocol import (
     TallyCounts,
     alice_pipeline,
     bob_pipeline,
-    estimate_pS,
     evolve,
     measure,
     prepare,

@@ -106,28 +106,11 @@ class RotatorSetting:
                 raise ValueError(f"{name} must be finite")
 
 
-def _rot(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
-def qwp_jones(theta_deg: float) -> np.ndarray:
-    """Quarter-wave plate, fast axis at theta from horizontal (retardance pi/2)."""
-    t = np.deg2rad(theta_deg)
-    return _rot(-t) @ np.diag([1.0, 1.0j]) @ _rot(t)
-
-
-def hwp_jones(theta_deg: float) -> np.ndarray:
-    """Half-wave plate, fast axis at theta from horizontal (retardance pi)."""
-    t = np.deg2rad(theta_deg)
-    return _rot(-t) @ np.diag([1.0, -1.0]) @ _rot(t)
-
-
 def from_waveplates(r: RotatorSetting) -> CollectiveRotation:
     """Composite QWP(q1) . HWP(h) . QWP(q2) rotation, det-normalized.
 
-    Each plate R(-t) diag(1, phi) R(t) (`qwp_jones`, `hwp_jones`) is
-    symmetric, so the product is multiplied out on Python complex scalars.
+    Each plate R(-t) diag(1, phi) R(t) is symmetric, so the product is
+    multiplied out on Python complex scalars.
     """
     m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
     for theta_deg, phi in ((r.qwp1_deg, 1j), (r.hwp_deg, -1.0), (r.qwp2_deg, 1j)):
@@ -140,18 +123,14 @@ def from_waveplates(r: RotatorSetting) -> CollectiveRotation:
     return CollectiveRotation(m00 / root, m10 / root)
 
 
-def sweep_settings(n: int = 5) -> tuple[RotatorSetting, ...]:
-    """The n-point noise sweep from identity to a collective bit-flip.
+def sweep_settings() -> tuple[RotatorSetting, ...]:
+    """The five-point noise sweep from identity to a collective bit-flip.
 
-    Both QWPs stay at 0 and the HWP steps from 0 to 45 degrees in equal
-    increments, so setting k rotates the polarization frame by k*pi/(2(n-1))
-    and the coincident survival at setting k is cos(k*pi/(2(n-1)))**4.  For
-    the default n = 5 this gives |a|^2 = cos^2(k*pi/8), k = 0..4.
+    Both QWPs stay at 0 and the HWP steps from 0 to 45 degrees by 11.25, so
+    setting k rotates the polarization frame by k*pi/8, |a|^2 = cos^2(k*pi/8)
+    and the coincident survival is cos(k*pi/8)**4, k = 0..4.
     """
-    if n < 2:
-        raise ValueError("a sweep needs at least the identity and bit-flip endpoints")
-    step = 45.0 / (n - 1)
-    return tuple(RotatorSetting(0.0, step * k, 0.0) for k in range(n))
+    return tuple(RotatorSetting(0.0, 11.25 * k, 0.0) for k in range(5))
 
 
 def haar_sample(rng: np.random.Generator) -> CollectiveRotation:

@@ -174,10 +174,9 @@ def _fmt(value) -> str:
 def emit(
     rows: Sequence[SweepRow],
     format: str = "csv",
-    path: Optional[str] = None,
     config: Optional[ExperimentConfig] = None,
 ) -> str:
-    """Serialize sweep rows; returns the text and optionally writes it to path.
+    """Serialize sweep rows and return the text.
 
     Numbers carry 6 significant digits and the column order is fixed.  When a
     config is given it is embedded for provenance: as '# config: ...' comment
@@ -209,9 +208,6 @@ def emit(
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return text
 
 

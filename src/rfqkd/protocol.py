@@ -278,21 +278,3 @@ def sift(
         sifted += 1
         errors += outcome.bit != state.key_bit
     return TallyCounts(rounds=len(bob), conclusive=conclusive, sifted=sifted, errors=errors)
-
-
-def estimate_pS(states: Sequence[PairState], rng: np.random.Generator) -> float:
-    """Estimate the inside-S fraction from a coincident test sample.
-
-    Each state is measured in the tagged H/V basis immediately after the
-    tag (no Hadamard); the estimate is the fraction of HV or VH outcomes.
-    The sample must consist of states with nonzero coincident weight; each
-    takes one uniform draw, in sample order.
-    """
-    if len(states) == 0:
-        raise ValueError("pS estimation needs a nonempty sample")
-    amps = np.array([s.amplitudes for s in states])
-    w = read_rows(amps, np.zeros(len(amps), dtype=int)).sum(axis=2)  # any basis: block weights
-    p_conc = w.sum(axis=1)
-    if np.any(p_conc <= 0.0):
-        raise ValueError("pS sample contains a state with no coincident component")
-    return int(np.count_nonzero(rng.random(len(states)) < w[:, 1] / p_conc)) / len(states)

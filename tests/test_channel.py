@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfqkd import channel, hilbert, protocol
+from rfqkd import hilbert, protocol
 from rfqkd.channel import (
     CollectiveRotation,
     RotatorSetting,
@@ -67,10 +67,17 @@ class TestCollectiveRotation:
         assert abs(abs(u.a) - 1.0) < 1e-12
 
 
+def _plate(theta_deg, phi):
+    """Wave plate R(-t) diag(1, phi) R(t), fast axis at t from horizontal."""
+    t = np.deg2rad(theta_deg)
+    c, s = np.cos(t), np.sin(t)
+    rot = np.array([[c, s], [-s, c]])
+    return rot.T @ np.diag([1.0, phi]) @ rot
+
+
 def _assert_equals_jones_reference(r: RotatorSetting):
     """from_waveplates against the det-normalized product of the Jones matrices."""
-    m = (channel.qwp_jones(r.qwp1_deg) @ channel.hwp_jones(r.hwp_deg)
-         @ channel.qwp_jones(r.qwp2_deg))
+    m = _plate(r.qwp1_deg, 1.0j) @ _plate(r.hwp_deg, -1.0) @ _plate(r.qwp2_deg, 1.0j)
     ref, u = CollectiveRotation.from_matrix(m), from_waveplates(r)
     assert abs(u.a - ref.a) <= 1e-15 and abs(u.b - ref.b) <= 1e-15, (u, ref)
 
@@ -120,10 +127,6 @@ class TestFromWaveplates:
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValueError):
             RotatorSetting(float("nan"), 0.0, 0.0)
-
-    def test_sweep_needs_two_points(self):
-        with pytest.raises(ValueError):
-            sweep_settings(1)
 
 
 class TestHaarSample:

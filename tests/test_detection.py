@@ -1,6 +1,8 @@
 """Noise model and Monte Carlo counting tests."""
 
+import cmath
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -35,19 +37,51 @@ from rfqkd.protocol import _MASK_PHASES, evolve_rows, read_rows
 SETTINGS = sweep_settings()
 
 
+def _clifford_group() -> np.ndarray:
+    """The 24 single-qubit Cliffords in SU(2), (24, 2, 2): H and S closed under
+    products, one matrix for each class modulo a global phase."""
+
+    def to_su2(m):
+        return m / cmath.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])  # det(H) = -1
+
+    def key(m):  # the class: phase of the first nonzero entry removed, -0.0 made 0.0
+        first = m.flat[np.argmax(np.abs(m.ravel()) > 1e-9)]
+        m = np.round(m * abs(first) / first, 9) + 0.0
+        return m.real.tobytes() + m.imag.tobytes()
+
+    generators = [to_su2(np.array([[1.0, 1.0], [1.0, -1.0]])), to_su2(np.diag([1.0, 1.0j]))]
+    group, frontier = {key(np.eye(2)): np.eye(2, dtype=complex)}, [np.eye(2, dtype=complex)]
+    while frontier:
+        products = [m @ g for m in frontier for g in generators]
+        frontier = [group.setdefault(key(m), m) for m in products if key(m) not in group]
+    return np.array(list(group.values()))
+
+
+CLIFFORDS = _clifford_group()
+
+
+def pair_odds(cfg: NoiseConfig, u: np.ndarray, scheme: str) -> np.ndarray:
+    """Odds (6,) of one detected pair: `_mean_odds` for a fixed scheme and, for
+    'haar', `_row_odds` averaged over the 4 states x 24 Cliffords C as u @ C."""
+    if scheme != "haar":
+        return detection._mean_odds(cfg, u, scheme)
+    states = np.repeat(np.arange(4), len(CLIFFORDS))
+    return detection._row_odds(cfg, states, np.tile(u @ CLIFFORDS, (4, 1, 1))).mean(axis=0)
+
+
 def mean_rates(cfg: NoiseConfig, setting: RotatorSetting, scheme: str):
-    """Conclusive rate, sifted rate and QBER of a fixed scheme from `_mean_odds`
-    scaled by the detected-pair rate, plus the accidental row at its rate."""
+    """Conclusive rate, sifted rate and QBER from `pair_odds` scaled by the
+    detected-pair rate, plus the accidental row at its rate."""
     p_det = cfg.apparatus_efficiency * transmittance(cfg) ** 2
     u = from_waveplates(setting).matrix
-    rates = (cfg.pair_rate_hz * p_det * detection._mean_odds(cfg, u, scheme)
+    rates = (cfg.pair_rate_hz * p_det * pair_odds(cfg, u, scheme)
              + accidental_rate(cfg) * detection._accidental_odds(cfg)[0])
     return rates[:5].sum(), rates[3] + rates[4], rates[4] / (rates[3] + rates[4])
 
 
 def assert_exact_means(cfg: NoiseConfig, setting: RotatorSetting, scheme: str):
-    """The means a fixed-scheme session draws from are the closed forms within
-    1e-12 relative."""
+    """The means a session of the scheme draws from are the closed forms within
+    1e-12 relative ('haar' through the Clifford table)."""
     survival = randomized_survival(from_waveplates(setting), scheme)
     conclusive, sifted, qber = mean_rates(cfg, setting, scheme)
     assert conclusive == pytest.approx(expected_conclusive_rate(cfg, survival), rel=1e-12)
@@ -156,6 +190,15 @@ class TestNoiseConfigValidation:
 
 
 class TestSimulateSession:
+    # The three session tests of 'haar' and of the test/key split check their
+    # means exactly (`assert_exact_means`) and hold each sampled count to
+    # |z| < Z_BOUND.  Their sessions are three times the length a 3-sigma test
+    # once used, so the bound sits at 4.9 / sqrt(3) = 2.83 sigmas of that length
+    # and sees every fixed shift the 3-sigma test saw.  The false-failure rates
+    # in their docstrings are exact Poisson or binomial tails at the expected
+    # counts; for the nine asserts together they sum to 1.3e-5.
+    Z_BOUND = 4.9
+
     def test_noiseless_identity_has_zero_qber(self):
         cfg = NoiseConfig.four_meter(
             singles_rate_hz=0.0, source_error_prob=0.0, visibility=1.0
@@ -216,11 +259,14 @@ class TestSimulateSession:
                              np.random.default_rng(0))
 
     def test_haar_scheme_session(self):
+        """About 694 conclusive counts; fails a correct program with 1.2e-6."""
         cfg = NoiseConfig.four_meter(ps_sample_fraction=0.1)
-        duration = 5.0
+        assert_exact_means(cfg, SETTINGS[0], "haar")
+        duration = 15.0
         tally = simulate_session(cfg, SETTINGS[0], "haar", duration, np.random.default_rng(7))
         expected = expected_conclusive_rate(cfg, 1.0 / 3.0) * duration
-        assert abs(tally.conclusive - expected) < 3 * math.sqrt(expected)
+        z = (tally.conclusive - expected) / math.sqrt(expected)
+        assert abs(z) < self.Z_BOUND, f"rate, z = {z:.2f}"
         assert tally.errors <= tally.sifted <= tally.conclusive
 
     def test_noiseless_haar_session_has_no_errors(self):
@@ -230,31 +276,40 @@ class TestSimulateSession:
         assert tally.errors == 0
 
     def test_haar_session_matches_closed_forms(self):
+        """About 2,777 conclusive counts and 1,250 sifted bits; fails a correct
+        program with 1.1e-6 on the rate and at most 3.1e-6 on the QBER."""
         # the haar compensation gives survival 1/3 whatever the channel,
         # the collective bit-flip included
         cfg = NoiseConfig.four_meter()
-        duration = 20.0
+        assert_exact_means(cfg, SETTINGS[4], "haar")
+        duration = 60.0
         tally = simulate_session(cfg, SETTINGS[4], "haar", duration, np.random.default_rng(9))
         expected = expected_conclusive_rate(cfg, 1.0 / 3.0) * duration
-        assert abs(tally.conclusive - expected) < 3 * math.sqrt(expected)
+        z = (tally.conclusive - expected) / math.sqrt(expected)
+        assert abs(z) < self.Z_BOUND, f"rate, z = {z:.2f}"
         e = expected_qber(cfg, 1.0 / 3.0)
-        sigma = math.sqrt(e * (1.0 - e) / tally.sifted)
-        assert abs(tally.errors / tally.sifted - e) < 3 * sigma
+        z = (tally.errors / tally.sifted - e) / math.sqrt(e * (1.0 - e) / tally.sifted)
+        assert abs(z) < self.Z_BOUND, f"qber, z = {z:.2f}"
 
     @pytest.mark.parametrize("scheme", ["none", "flip_half", "haar"])
     def test_test_and_key_split(self, scheme):
+        """1,388-3,033 conclusive counts and 555-1,213 sifted bits by scheme;
+        fails a correct program with at most 2.5e-6 per scheme."""
         # without accidentals every test round is inside S; the test sample
         # takes f_test of the conclusive pairs and the rest is sifted with 1/2
         cfg = NoiseConfig.four_meter(singles_rate_hz=0.0, ps_sample_fraction=0.2)
-        duration = 10.0
+        assert_exact_means(cfg, SETTINGS[1], scheme)
+        duration = 30.0
         tally = simulate_session(cfg, SETTINGS[1], scheme, duration, np.random.default_rng(10))
         assert tally.pS_sample_inS == tally.pS_sample_total
         f = cfg.ps_sample_fraction
         n = tally.conclusive
-        assert abs(tally.pS_sample_total - f * n) < 3 * math.sqrt(n * f * (1.0 - f))
+        z = (tally.pS_sample_total - f * n) / math.sqrt(n * f * (1.0 - f))
+        assert abs(z) < self.Z_BOUND, f"test fraction, z = {z:.2f}"
         survival = randomized_survival(from_waveplates(SETTINGS[1]), scheme)
         expected = expected_sifted_rate(cfg, survival) * duration
-        assert abs(tally.sifted - expected) < 3 * math.sqrt(expected)
+        z = (tally.sifted - expected) / math.sqrt(expected)
+        assert abs(z) < self.Z_BOUND, f"sifted, z = {z:.2f}"
 
     def test_deterministic_given_seed(self):
         cfg = NoiseConfig.four_meter()
@@ -334,6 +389,53 @@ class TestMeanOddsExact:
     @given(_CONFIGS, _WAVEPLATES)
     def test_random_configs_and_waveplates(self, scheme, cfg, setting):
         assert_exact_means(cfg, setting, scheme)
+
+
+class TestCliffordMeansExact:
+    """The 'haar' means from the 24 single-qubit Cliffords, against the closed
+    forms at survival 1/3.
+
+    Every P(block, bit) of a row has degree (2, 2) in the entries of B and
+    their conjugates, so a unitary 2-design averages it to its Haar mean.  The
+    Clifford group is one (Dankert, Cleve, Emerson and Livine, PRA 80, 012304
+    (2009)), and so is u times it, so the table serves every channel u."""
+
+    def test_table_has_24_elements(self):
+        assert CLIFFORDS.shape == (24, 2, 2)
+
+    @pytest.mark.parametrize("preset", [
+        NoiseConfig.four_meter, NoiseConfig.one_km,
+        functools.partial(NoiseConfig.one_km, source_error_prob=0.0, visibility=1.0,
+                          singles_rate_hz=5000.0),
+    ], ids=["4m", "1km", "1km-noiseless-5kHz"])
+    @pytest.mark.parametrize("k", range(len(SETTINGS)))
+    def test_presets_at_the_sweep_settings(self, preset, k):
+        assert_exact_means(preset(), SETTINGS[k], "haar")
+
+    @settings(deadline=None, max_examples=60)
+    @given(_CONFIGS, _WAVEPLATES)
+    def test_random_configs_and_waveplates(self, cfg, setting):
+        assert_exact_means(cfg, setting, "haar")
+
+    def test_table_equals_a_haar_monte_carlo(self):
+        """The table's odds against the mean `_row_odds` of 32,768 Haar rows
+        per setting from `haar_matrices`, each state in a quarter of them.
+
+        Each of the 6 x 5 means is held to |z| < 5 of its standard error, so a
+        correct program fails the test with probability at most 30 * P(|N(0, 1)|
+        >= 5) = 1.7e-5 (normal tails: the CLT is close at this n); an outcome
+        whose odds are 0 in every row (outside S without accidentals) must
+        match to 1e-15."""
+        cfg, n = NoiseConfig.four_meter(), 2**15
+        rng = np.random.default_rng(2009)
+        states = np.arange(n) % 4
+        for setting in SETTINGS:
+            u = from_waveplates(setting).matrix
+            rows = haar_matrices(rng, n, u)
+            odds = np.concatenate([detection._row_odds(cfg, states[k:k + 4096], rows[k:k + 4096])
+                                   for k in range(0, n, 4096)])
+            gap = np.abs(odds.mean(axis=0) - pair_odds(cfg, u, "haar"))
+            assert np.all(gap <= 5.0 * odds.std(axis=0) / math.sqrt(n) + 1e-15), gap
 
 
 class TestVisibilityEnvelope:

@@ -293,11 +293,6 @@ class TestEmit:
         assert data["config"]["seed"] == FAST_CONFIG.seed
         assert len(data["rows"]) == 2
 
-    def test_writes_file(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        emit(fake_rows(3), "csv", path=str(path))
-        assert path.read_text().count("\n") == 4
-
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
             emit([], "csv")

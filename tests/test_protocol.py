@@ -26,7 +26,6 @@ from rfqkd.protocol import (
     bob_pipeline,
     coincident_split,
     conclusive_blocks,
-    estimate_pS,
     evolve,
     evolve_rows,
     measure,
@@ -333,41 +332,6 @@ class TestTallyCounts:
         assert a + TallyCounts() == a == TallyCounts() + a
 
 
-
-class TestEstimatePS:
-    def test_ideal_channel_gives_unity(self):
-        rng = np.random.default_rng(8)
-        states = [evolved(LogicalState.PSI_PLUS) for _ in range(200)]
-        assert estimate_pS(states, rng) == 1.0
-
-    @pytest.mark.parametrize("outside_weight,expected", [(0.09, 0.91), (0.03, 0.97)])
-    def test_injected_outside_weight(self, outside_weight, expected):
-        # coincident states carrying a known HH / VV contamination
-        rng = np.random.default_rng(9)
-        inside = np.sqrt(1.0 - outside_weight)
-        outside = np.sqrt(outside_weight / 2.0)
-        contaminated = hilbert.pure_state(
-            {
-                (("H", 1), ("V", 1)): inside * SQ2,
-                (("V", 1), ("H", 1)): inside * SQ2,
-                (("H", 1), ("H", 1)): outside,
-                (("V", 1), ("V", 1)): outside,
-            }
-        )
-        n = 20_000
-        estimate = estimate_pS([contaminated] * n, rng)
-        sigma = np.sqrt(expected * (1.0 - expected) / n)
-        assert abs(estimate - expected) < 4 * sigma
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_pS([], np.random.default_rng(0))
-
-    def test_state_without_coincident_part_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_pS([evolved(LogicalState.PSI_PLUS, "flip")], np.random.default_rng(0))
-
-
 class TestCoincidentSplit:
     def test_weights_sum_to_conclusive_probability(self):
         rng = np.random.default_rng(10)
@@ -437,20 +401,6 @@ class TestBitOddsMatchTransformChain:
             for label, w, p0 in blocks:
                 block = np.where(_BLOCK_REFERENCE[label], s.amplitudes, 0.0) / np.sqrt(w)
                 assert p0 == pytest.approx(_chain_bit0(block, basis), abs=1e-12)
-
-
-class TestEstimatePSDrawsOncePerState:
-    @settings(deadline=None, max_examples=20)
-    @given(st.integers(0, 2**32 - 1))
-    def test_matches_one_draw_per_state_loop(self, seed):
-        source = np.random.default_rng(seed)
-        states = [_random_state(source.integers(-1000, 1001, size=72)) for _ in range(50)]
-        rng = np.random.default_rng(seed)
-        hits = 0
-        for s in states:
-            p_conc, weights = coincident_split(s)
-            hits += rng.random() < weights.get("S", 0.0) / p_conc
-        assert estimate_pS(states, np.random.default_rng(seed)) == hits / len(states)
 
 
 class TestLocalRotationsStayInS:
