@@ -18,13 +18,12 @@ Monte Carlo and the closed-form expectations:
 
 Detected pairs are sorted over the round outcomes through the array engine
 of the protocol layer: a fixed scheme's by one multinomial draw over its
-mean odds, 'haar' pairs row by row, and accidentals by one more draw
-(`simulate_session`).
+mean odds and 'haar' pairs row by row; accidentals need no engine and take
+one more draw over the odds stated above (`_accidental_odds`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -138,9 +137,6 @@ def expected_sifted_rate(cfg: NoiseConfig, survival: float) -> float:
 _HAAR_BLOCK, _ENGINE_ROWS = 256, 128
 _KEY_BITS = np.array([l.key_bit for l in LogicalState])
 _BASIS_INDEX = np.array([list(BasisChoice).index(l.basis) for l in LogicalState])
-# an accidental as P(block, decoded bit): a uniformly random detector pattern,
-# inside S with 1/2 and either bit with 1/2
-_ACCIDENTAL = np.array([[[0.125, 0.125], [0.25, 0.25], [0.125, 0.125]]])
 # the compensations B of the fixed schemes, each given to an equal share of the pairs
 _COMPENSATIONS = {"none": np.eye(2)[None],
                   "flip_half": np.array([np.eye(2), CollectiveRotation.bit_flip().matrix])}
@@ -149,37 +145,37 @@ _FIXED_ROWS = {scheme: np.indices((4, len(b))).reshape(2, -1)
                for scheme, b in _COMPENSATIONS.items()}
 
 
-def _odds(joint: np.ndarray, key_bits: np.ndarray, p_sift: float, cfg: NoiseConfig) -> np.ndarray:
+def _odds(joint: np.ndarray, key_bits: np.ndarray, cfg: NoiseConfig) -> np.ndarray:
     """Odds (N, 6) of a pair's six outcomes, from each row's P(block, bit) joint[n] (`read_rows`).
 
     The outcomes are test inside S, test outside S, unsifted key, sifted
     right, sifted wrong and not conclusive: a conclusive pair is a test
-    round with ps_sample_fraction, else a key round sifted with p_sift, and
-    a sifted bit flips with the intrinsic error rate.  The odds are products
-    of weights, so none is negative and a row with no coincident weight
-    needs no guard.
+    round with ps_sample_fraction, else a key round sifted with 1/2 (Bob's
+    basis matches Alice's), and a sifted bit flips with the intrinsic error
+    rate.  The odds are products of weights, so none is negative and a row
+    with no coincident weight needs no guard.
     """
     f, e, key = cfg.ps_sample_fraction, intrinsic_error_rate(cfg), 1.0 - cfg.ps_sample_fraction
     w, bits = joint.sum(axis=2).T, joint.sum(axis=1).T
     odds = np.zeros((6, len(joint)))  # numpy gives the last outcome the remaining odds
-    odds[:3] = f * w[1], f * (w[0] + w[2]), key * (1.0 - p_sift) * w.sum(axis=0)
+    odds[:3] = f * w[1], f * (w[0] + w[2]), key * 0.5 * w.sum(axis=0)
     right_wrong = np.where(key_bits == 0, bits, bits[::-1])
-    odds[3:5] = key * p_sift * (right_wrong * (1.0 - e) + right_wrong[::-1] * e)
+    odds[3:5] = key * 0.5 * (right_wrong * (1.0 - e) + right_wrong[::-1] * e)
     return odds.T
 
 
-@functools.lru_cache(maxsize=16)
-def _accidental_odds(cfg: NoiseConfig) -> np.ndarray:
-    """`_odds` of the accidental row, which depend on the configuration alone."""
-    odds = _odds(_ACCIDENTAL, np.zeros(1, dtype=int), 1.0, cfg)
-    odds.flags.writeable = False
-    return odds
+def _accidental_odds(cfg: NoiseConfig) -> list[float]:
+    """Odds of an accidental's six outcomes: a uniformly random detector pattern
+    is inside S with 1/2, is never sifted away and is right or wrong with 1/2.
+    Right and wrong are one product, so numpy splits them at p = 1/2 exactly."""
+    f, key = cfg.ps_sample_fraction, 1.0 - cfg.ps_sample_fraction
+    return [f * 0.5, f * 0.5, 0.0, key * 0.5, key * 0.5, 0.0]
 
 
 def _row_odds(cfg: NoiseConfig, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """`_odds` (N, 6) of engine rows: state indices and effective rotations u (N, 2, 2)."""
     joint = read_rows(evolve_rows(states, u), _BASIS_INDEX[states])
-    return _odds(joint, _KEY_BITS[states], 0.5, cfg)
+    return _odds(joint, _KEY_BITS[states], cfg)
 
 
 def _mean_odds(cfg: NoiseConfig, u: np.ndarray, scheme: Scheme) -> np.ndarray:
@@ -231,7 +227,7 @@ def simulate_session(
             for k in range(0, len(ub), _ENGINE_ROWS):
                 odds = _row_odds(cfg, states[k:k + _ENGINE_ROWS], ub[k:k + _ENGINE_ROWS])
                 outcomes += rng.multinomial(1, odds).sum(axis=0)
-    outcomes += rng.multinomial([n_acc], _accidental_odds(cfg))[0]
+    outcomes += rng.multinomial(n_acc, _accidental_odds(cfg))
     test_in, test_out, unsifted, right, wrong = (int(n) for n in outcomes[:5])
 
     return TallyCounts(

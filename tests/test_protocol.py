@@ -250,6 +250,8 @@ class TestBasisSecrecySymmetry:
 
 
 class TestSift:
+    Z_BOUND = 4.9  # as `TestSimulateSession.Z_BOUND` in tests/test_detection.py
+
     def run_rounds(self, n, rng, u=IDENT, scheme_flip=False):
         alice, bob = [], []
         states = list(LogicalState)
@@ -272,11 +274,14 @@ class TestSift:
         assert tally.conclusive == 2000  # identity channel: every round coincident
 
     def test_sifted_fraction_half(self):
+        """12,000 conclusive rounds, three times a 3-sigma test's; fails a correct
+        program with 9.4e-7 (exact binomial tail)."""
         rng = np.random.default_rng(6)
-        alice, bob = self.run_rounds(4000, rng)
+        alice, bob = self.run_rounds(12000, rng)
         tally = sift(alice, bob)
-        ratio = tally.sifted / tally.conclusive
-        assert abs(ratio - 0.5) < 3 * np.sqrt(0.25 / tally.conclusive)
+        n = tally.conclusive
+        z = (tally.sifted - 0.5 * n) / np.sqrt(0.25 * n)
+        assert abs(z) < self.Z_BOUND, f"sifted fraction, z = {z:.2f}"
 
     def test_noiseless_qber_zero_under_rotation_with_flip(self):
         rng = np.random.default_rng(7)
