@@ -120,7 +120,7 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
-def _row_from_tally(index: int, scheme: str, tally: TallyCounts) -> SweepRow:
+def _row_from_tally(index: int, scheme: str, tally: TallyCounts, max_rate: float) -> SweepRow:
     rate = tally.conclusive / tally.duration_s
     if tally.sifted > 0:
         qber = tally.errors / tally.sifted
@@ -138,7 +138,7 @@ def _row_from_tally(index: int, scheme: str, tally: TallyCounts) -> SweepRow:
         setting_index=index,
         scheme=scheme,
         conclusive_rate_hz=rate,
-        normalized_coincidence=math.nan,  # filled in after the whole sweep
+        normalized_coincidence=rate / max_rate if max_rate > 0.0 else math.nan,
         qber=qber,
         qber_stderr=stderr,
         p_S=p_s,
@@ -150,19 +150,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """One detection session per (setting, scheme); deterministic given the seed."""
     cfg.validate()
     streams = iter(np.random.SeedSequence(cfg.seed).spawn(len(cfg.schemes) * len(cfg.settings)))
-    rows: list[SweepRow] = []
-    for scheme in cfg.schemes:
-        for index, setting in enumerate(cfg.settings):
-            rng = np.random.default_rng(next(streams))
-            tally = simulate_session(cfg.noise, setting, scheme, cfg.duration_s, rng)
-            rows.append(_row_from_tally(index, scheme, tally))
-    max_rate = max((r.conclusive_rate_hz for r in rows), default=0.0)
-    if max_rate > 0.0:
-        rows = [
-            dataclasses.replace(r, normalized_coincidence=r.conclusive_rate_hz / max_rate)
-            for r in rows
-        ]
-    return rows
+    sessions = [(index, scheme, simulate_session(cfg.noise, setting, scheme, cfg.duration_s,
+                                                  np.random.default_rng(next(streams))))
+                for scheme in cfg.schemes for index, setting in enumerate(cfg.settings)]
+    max_rate = max(tally.conclusive / tally.duration_s for _, _, tally in sessions)
+    return [_row_from_tally(index, scheme, tally, max_rate) for index, scheme, tally in sessions]
 
 
 def _fmt(value) -> str:

@@ -106,7 +106,7 @@ class TallyCounts:
     duration_s: float = 0.0
 
     def __post_init__(self):
-        negative = [f.name for f in fields(self) if not getattr(self, f.name) >= 0]
+        negative = [name for name in _TALLY_FIELDS if not getattr(self, name) >= 0]
         if negative:
             raise ValueError(f"tally counters must be nonnegative: {', '.join(negative)}")
         for low, high in (("errors", "sifted"), ("sifted", "conclusive"),
@@ -115,8 +115,11 @@ class TallyCounts:
                 raise ValueError(f"tally counter {low!r} exceeds {high!r}")
 
     def __add__(self, other: "TallyCounts") -> "TallyCounts":
-        return TallyCounts(**{f.name: getattr(self, f.name) + getattr(other, f.name)
-                              for f in fields(self)})
+        return TallyCounts(**{name: getattr(self, name) + getattr(other, name)
+                              for name in _TALLY_FIELDS})
+
+
+_TALLY_FIELDS = tuple(f.name for f in fields(TallyCounts))  # read per tally, so built once
 
 
 # every equal-bin mode pair; arrival-time difference exactly the pair label

@@ -208,6 +208,19 @@ class TestRunSweep:
         other = dataclasses.replace(FAST_CONFIG, seed=1)
         assert run_sweep(other) != run_sweep(FAST_CONFIG)
 
+    @pytest.mark.parametrize("schemes", [("none", "flip_half"), ("haar",)])
+    def test_each_row_normalized_by_the_top_rate_of_the_sweep(self, schemes):
+        rows = run_sweep(dataclasses.replace(FAST_CONFIG, schemes=schemes))
+        top = max(r.conclusive_rate_hz for r in rows)
+        assert top > 0.0
+        assert [r.normalized_coincidence for r in rows] == [
+            r.conclusive_rate_hz / top for r in rows]
+
+    def test_every_row_nan_without_a_conclusive_count(self):
+        rows = run_sweep(dataclasses.replace(FAST_CONFIG, duration_s=1e-300))
+        assert len(rows) == 10 and all(r.conclusive_rate_hz == 0.0 for r in rows)
+        assert all(math.isnan(r.normalized_coincidence) for r in rows)
+
     def test_uncompensated_sweep_rises_toward_half(self):
         # without the random rotation the error rate sits near the intrinsic
         # level at the identity setting and climbs toward 50% at the bit-flip,
@@ -236,7 +249,7 @@ class TestRowKeyFraction:
     ])
     def test_key_fraction_only_where_the_bound_applies(self, counts, expected):
         tally = TallyCounts(rounds=200, conclusive=100, duration_s=10.0, **counts)
-        fraction = _row_from_tally(0, "none", tally).key_rate_fraction
+        fraction = _row_from_tally(0, "none", tally, 10.0).key_rate_fraction
         if expected is None:
             assert math.isnan(fraction)
         else:
@@ -410,6 +423,56 @@ class TestCli:
             cli.main(["selftest", "--config", "experiment.json"])
         assert exc.value.code == 2
         assert "--config" in capsys.readouterr().err
+
+
+_SWEEP = ["sweep", "--preset", "4m", "--seed", "7", "--duration-scale", "0.005"]
+_SINGLE = ["single", "--preset", "4m", "--seed", "5", "--duration-scale", "0.01"]
+
+
+class TestOutputWrites:
+    """`sweep` and `single` replace an existing file's bytes with their
+    output; a run that fails leaves it as it was."""
+
+    @pytest.mark.parametrize("argv", [_SWEEP, [*_SWEEP, "--format", "json"], _SINGLE],
+                             ids=["sweep-csv", "sweep-json", "single"])
+    def test_over_a_longer_file_leaves_the_bytes_of_a_fresh_path(self, tmp_path, capsys, argv):
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        assert cli.main([*argv, "--out", str(fresh)]) == 0
+        old.write_bytes(b"stale\n" * len(fresh.read_bytes()))
+        assert cli.main([*argv, "--out", str(old)]) == 0
+        assert old.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("argv", [_SWEEP, _SINGLE], ids=["sweep", "single"])
+    def test_devnull(self, capsys, argv):
+        assert cli.main([*argv, "--out", os.devnull]) == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("argv", [_SWEEP, _SINGLE], ids=["sweep", "single"])
+    def test_pipe(self, tmp_path, capsys, argv):
+        fresh = tmp_path / "fresh"
+        assert cli.main([*argv, "--out", str(fresh)]) == 0
+        read, write = os.pipe()  # the output fits the pipe's buffer, so no reader is needed
+        with os.fdopen(read, "rb") as reader:
+            try:
+                code = cli.main([*argv, "--out", f"/dev/fd/{write}"])
+            finally:
+                os.close(write)
+            assert code == 0
+            assert reader.read() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("argv, step", [(_SWEEP, "run_sweep"), (_SINGLE, "simulate_session")],
+                             ids=["sweep", "single"])
+    def test_failed_run_leaves_an_existing_file(self, tmp_path, monkeypatch, capsys, argv, step):
+        path = tmp_path / "out"
+        path.write_bytes(b"an earlier run\n")
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(cli, step, fail)
+        with pytest.raises(RuntimeError, match="run failed"):
+            cli.main([*argv, "--out", str(path)])
+        assert path.read_bytes() == b"an earlier run\n"
 
 
 def _fresh_process_output(tmp_path, argv, out: str) -> bytes:
