@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import check_unitary
-
 SU2_TOL = 1e-12
 DELTA_NORM_TOL = 1e-10
 
@@ -56,17 +54,6 @@ class CollectiveRotation:
     def bit_flip(cls) -> "CollectiveRotation":
         """Polarization exchange H <-> V (special-unitary representative)."""
         return cls(0.0j, 1.0 + 0.0j)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "CollectiveRotation":
-        """Normalize any 2x2 unitary to determinant 1 by a global phase."""
-        m = check_unitary(m)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        m = m / np.sqrt(det)
-        return cls(complex(m[0, 0]), complex(m[1, 0]))
-
-    def __matmul__(self, other: "CollectiveRotation") -> "CollectiveRotation":
-        return CollectiveRotation.from_matrix(self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
@@ -146,10 +133,16 @@ def haar_sample(rng: np.random.Generator) -> CollectiveRotation:
 
 
 def haar_matrices(rng: np.random.Generator, n: int, u: np.ndarray = np.eye(2)) -> np.ndarray:
-    """u @ B, (n, 2, 2), for n Haar SU(2) B (`haar_sample` in bulk) and special-unitary u."""
+    """u @ B, (n, 2, 2), for n Haar SU(2) B (`haar_sample` in bulk) and special-unitary u.
+
+    u is folded into B's column (a, b) as u[:, 0] a + u[:, 1] b, bit for bit the
+    (2, 2, n) product summed over its middle axis; each row is normalized by
+    `np.linalg.norm`'s own sum of squares, without its call overhead.
+    """
     x = rng.standard_normal((n, 4))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return su2(*(u[:, :, None] * x.view(complex).T).sum(axis=1))  # u times B's column (a, b)
+    x /= np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+    ab = x.view(complex).T
+    return su2(*(u[:, 0, None] * ab[0] + u[:, 1, None] * ab[1]))
 
 
 def delta_params(u: CollectiveRotation) -> DeltaParams:

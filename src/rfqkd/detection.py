@@ -153,15 +153,18 @@ def _odds(joint: np.ndarray, key_bits: np.ndarray, cfg: NoiseConfig) -> np.ndarr
     round with ps_sample_fraction, else a key round sifted with 1/2 (Bob's
     basis matches Alice's), and a sifted bit flips with the intrinsic error
     rate.  The odds are products of weights, so none is negative and a row
-    with no coincident weight needs no guard.
+    with no coincident weight needs no guard.  They are written through the
+    transpose of one C-ordered (N, 6) array, the layout `multinomial` reads.
     """
     f, e, key = cfg.ps_sample_fraction, intrinsic_error_rate(cfg), 1.0 - cfg.ps_sample_fraction
     w, bits = joint.sum(axis=2).T, joint.sum(axis=1).T
-    odds = np.zeros((6, len(joint)))  # numpy gives the last outcome the remaining odds
-    odds[:3] = f * w[1], f * (w[0] + w[2]), key * 0.5 * w.sum(axis=0)
+    odds = np.empty((len(joint), 6))
+    o = odds.T
+    o[:3] = f * w[1], f * (w[0] + w[2]), key * 0.5 * w.sum(axis=0)
     right_wrong = np.where(key_bits == 0, bits, bits[::-1])
-    odds[3:5] = key * 0.5 * (right_wrong * (1.0 - e) + right_wrong[::-1] * e)
-    return odds.T
+    o[3:5] = key * 0.5 * (right_wrong * (1.0 - e) + right_wrong[::-1] * e)
+    o[5] = 0.0  # numpy gives the last outcome the remaining odds
+    return odds
 
 
 def _accidental_odds(cfg: NoiseConfig) -> list[float]:

@@ -204,13 +204,15 @@ def read_rows(amps: np.ndarray, bases: np.ndarray) -> np.ndarray:
     the 12 coincident amplitudes, so each is read on its own: through row
     n's basis bases[n] (an index into BasisChoice) and the Hadamard pair,
     with same polarization decoded as bit 0; one product with `_READ` reads
-    all rows in both bases, and each row's own basis is squared.  Every
-    entry is a sum of squared moduli, hence nonnegative; summed over bits
-    they are the block weights, and over everything the coincidence probability.
+    all rows in both bases, `np.where` picks each row's own basis and only
+    that is squared.  Every entry is a sum of squared moduli, hence
+    nonnegative; summed over bits they are the block weights, and over
+    everything the coincidence probability.
     """
     r = (_READ @ amps.reshape(-1, DIM).T[_COINCIDENT].reshape(4, -1)).reshape(2, 12, N_BINS, -1)
-    np.copyto(r[0], r[1], where=bases == 1)  # (ij and block, bin, row) in each row's own basis
-    p = np.abs(r[0])
+    # (ij and block, bin, row) in each row's own basis; rebinding r frees both bases' product
+    r = np.where(bases == 1, r[1], r[0])
+    p = np.abs(r)
     del r  # freed before squaring: a lower peak per slice keeps the allocator from refaulting
     p = np.square(p, out=p).sum(axis=1)
     return (_BITS @ p.reshape(4, 3 * len(amps))).reshape(2, 3, len(amps)).T

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfqkd import hilbert, protocol
@@ -42,6 +42,15 @@ def jones_oracle(qwp1_deg, hwp_deg, qwp2_deg):
     return m / np.sqrt(det)
 
 
+def _from_matrix(m):
+    """Any 2x2 unitary as a CollectiveRotation, its global phase normalized to
+    determinant 1: how the Jones reference and composed channels are read."""
+    m = hilbert.check_unitary(m)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    m = m / np.sqrt(det)
+    return CollectiveRotation(complex(m[0, 0]), complex(m[1, 0]))
+
+
 class TestCollectiveRotation:
     def test_su2_constraint_enforced(self):
         with pytest.raises(ValueError):
@@ -55,16 +64,12 @@ class TestCollectiveRotation:
 
     def test_from_matrix_normalizes_phase(self):
         m = np.exp(0.3j) * CollectiveRotation(0.6, 0.8j).matrix
-        u = CollectiveRotation.from_matrix(m)
+        u = _from_matrix(m)
         assert abs(abs(u.a) - 0.6) < 1e-12
 
     def test_from_matrix_rejects_non_unitary(self):
         with pytest.raises(ValueError):
-            CollectiveRotation.from_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-    def test_composition(self):
-        u = CollectiveRotation.bit_flip() @ CollectiveRotation.bit_flip()
-        assert abs(abs(u.a) - 1.0) < 1e-12
+            _from_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def _plate(theta_deg, phi):
@@ -78,7 +83,7 @@ def _plate(theta_deg, phi):
 def _assert_equals_jones_reference(r: RotatorSetting):
     """from_waveplates against the det-normalized product of the Jones matrices."""
     m = _plate(r.qwp1_deg, 1.0j) @ _plate(r.hwp_deg, -1.0) @ _plate(r.qwp2_deg, 1.0j)
-    ref, u = CollectiveRotation.from_matrix(m), from_waveplates(r)
+    ref, u = _from_matrix(m), from_waveplates(r)
     assert abs(u.a - ref.a) <= 1e-15 and abs(u.b - ref.b) <= 1e-15, (u, ref)
 
 
@@ -167,8 +172,22 @@ def _haar_reference(rng, n):
     return _stacked_su2(x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3])
 
 
+def _haar_fold_reference(rng, n, u):
+    """`haar_matrices` as first folded: u times B's column (a, b), summed over a
+    (2, 2, n) product, the rows normalized by `np.linalg.norm`."""
+    x = rng.standard_normal((n, 4))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return su2(*(u[:, :, None] * x.view(complex).T).sum(axis=1))
+
+
 _SEEDS = st.integers(0, 2**32 - 1)
 _ANGLES = st.floats(-360.0, 360.0)
+# channels to fold in: waveplate settings, with the signed zeros of setting 0, and Haar draws
+_CHANNELS = st.one_of(
+    st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0]), _ANGLES)] * 3).map(
+        lambda angles: from_waveplates(RotatorSetting(*angles)).matrix),
+    _SEEDS.map(lambda seed: haar_sample(np.random.default_rng(seed)).matrix),
+)
 
 
 class TestSu2Construction:
@@ -203,6 +222,14 @@ class TestHaarMatrices:
         assert folded.bit_generator.state == plain.bit_generator.state
         assert ub.shape == (n, 2, 2)
         assert np.max(np.abs(ub - u @ b), initial=0.0) <= 1e-15
+
+    @settings(deadline=None, max_examples=200)
+    @given(_SEEDS, st.integers(0, 300), _CHANNELS)
+    @example(0, 300, from_waveplates(sweep_settings()[0]).matrix)
+    def test_fold_is_the_summed_form_bit_for_bit(self, seed, n, u):
+        folded, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(haar_matrices(folded, n, u), _haar_fold_reference(reference, n, u))
+        assert folded.bit_generator.state == reference.bit_generator.state
 
     @settings(deadline=None)
     @given(_SEEDS, st.integers(0, 300))
@@ -313,7 +340,8 @@ class TestRandomizedSurvival:
         for _ in range(50):
             u = haar_sample(rng)
             direct = randomized_survival(u, "flip_half")
-            composed = 0.5 * (survival_probability(u) + survival_probability(u @ flip))
+            composed = 0.5 * (survival_probability(u)
+                              + survival_probability(_from_matrix(u.matrix @ flip.matrix)))
             assert abs(direct - composed) < 1e-12
 
     def test_unknown_scheme_rejected(self):

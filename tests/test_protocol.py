@@ -142,7 +142,9 @@ class TestMeasure:
         rng = np.random.default_rng(2)
         for _ in range(50):
             u = haar_sample(rng)
-            for b_choice, u_eff in (("identity", u), ("flip", u @ FLIP)):
+            # both factors are special-unitary, so their product's first column is (a, b)
+            u_flip = CollectiveRotation(*(u.matrix @ FLIP.matrix)[:, 0])
+            for b_choice, u_eff in (("identity", u), ("flip", u_flip)):
                 p_conc, _ = conclusive_blocks(
                     evolved(LogicalState.PSI_MINUS, b_choice, u), BasisChoice.PLUS_MINUS
                 )
